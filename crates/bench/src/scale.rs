@@ -1,6 +1,6 @@
 //! The scale benchmark: MSOA wall-clock, selection-phase and
 //! pricing-phase cost as the seller population grows to one million
-//! sellers, across pricing-thread and winner-selection-shard settings.
+//! sellers, across pricing-thread settings.
 //!
 //! Unlike the figure sweeps in [`crate::runner`] this is *not* a paper
 //! figure — it is the machine-readable evidence for the parallel
@@ -28,12 +28,12 @@ use std::time::Instant;
 
 /// Schema identifier written into `BENCH_scale.json`.
 ///
-/// v2 adds the `shards`, `selection_ns`, and `merge_ns` cell columns
-/// (and the `shards` speedup column) and extends the default sweep to
-/// n = 1M with an adaptive-threads and a sharded configuration.
-/// `bench diff` still accepts v1 baselines: the missing columns default
-/// (`shards = 1`, timings 0) and cells are matched on
-/// `(n, threads, shards)`, so v1 digests stay hard-checked.
+/// v2 adds the `selection_ns` and `merge_ns` cell columns and extends
+/// the default sweep to n = 1M with an adaptive-threads configuration.
+/// `bench diff` still accepts v1 baselines: the missing timings default
+/// to 0 and cells are matched on `(n, threads)`, so v1 digests stay
+/// hard-checked. v2 reports written while selection still had a shard
+/// setting carry a `shards` key per cell, which parsing ignores.
 pub const SCALE_SCHEMA: &str = "edge-market/bench-scale/v2";
 
 /// Schema identifier of the previous report generation, still accepted
@@ -76,10 +76,6 @@ pub struct ScaleCell {
     /// Pricing thread setting used for this cell (1 = sequential path,
     /// 0 = adaptive auto-sizing).
     pub threads: usize,
-    /// Winner-selection shard setting used for this cell (1 = unsharded
-    /// arena). v1 reports have no such column; [`parse_report`] injects
-    /// `1` when upgrading them.
-    pub shards: usize,
     /// Repetitions behind the medians.
     pub reps: usize,
     /// Median wall-clock for the whole MSOA run, nanoseconds.
@@ -107,8 +103,8 @@ pub struct ScaleCell {
     /// greedy merge), summed over rounds, nanoseconds. `0` in upgraded
     /// v1 reports (not recorded then).
     pub selection_ns: u64,
-    /// Of [`Self::selection_ns`], nanoseconds in the cross-shard merge
-    /// loop (the sequential argmin over lane heads).
+    /// Of [`Self::selection_ns`], nanoseconds in the greedy merge loop
+    /// (the argmin queries over the lane arena).
     pub merge_ns: u64,
     /// FNV-1a 64 digest (hex) of the serialized outcome.
     pub outcome_digest: String,
@@ -124,8 +120,6 @@ pub struct ScaleSpeedup {
     pub rounds: u64,
     /// The compared cell's thread setting.
     pub threads: usize,
-    /// The compared cell's shard setting.
-    pub shards: usize,
     /// `floor pricing_ns(adjacent sequential runs) / floor
     /// pricing_ns(this cell's runs)`, where a side's *floor* is the
     /// second-smallest of its samples. Every measured rep of a non-base
@@ -159,7 +153,7 @@ pub struct ScaleReport {
 
 /// Parses a serialized scale report, transparently upgrading v1
 /// payloads to the v2 shape: the columns v1 never recorded are injected
-/// (`shards = 1`, `selection_ns = merge_ns = 0`) and the schema string
+/// (`selection_ns = merge_ns = 0`) and the schema string
 /// is rewritten, so v1 digests and wall-clock medians stay comparable.
 /// Returns the report plus whether an upgrade happened; any other
 /// schema is rejected.
@@ -208,17 +202,9 @@ fn upgrade_v1_in_place(value: &mut serde::Value) {
             ("cells", serde::Value::Array(cells)) => {
                 for cell in cells {
                     if let serde::Value::Object(fields) = cell {
-                        ensure(fields, "shards", 1);
                         ensure(fields, "min_pricing_ns", 0);
                         ensure(fields, "selection_ns", 0);
                         ensure(fields, "merge_ns", 0);
-                    }
-                }
-            }
-            ("speedups", serde::Value::Array(speedups)) => {
-                for s in speedups {
-                    if let serde::Value::Object(fields) = s {
-                        ensure(fields, "shards", 1);
                     }
                 }
             }
@@ -271,7 +257,7 @@ struct CellSamples {
 /// `min(adjacent base pricing) / min(cell pricing)` speedup estimate
 /// (`None` for the base cell itself, and when no base configuration is
 /// in the grid).
-fn run_row(n: usize, configs: &[(usize, usize)]) -> (Vec<ScaleCell>, Vec<Option<f64>>) {
+fn run_row(n: usize, configs: &[usize]) -> (Vec<ScaleCell>, Vec<Option<f64>>) {
     let mut rng = derive_rng(n as u64, "bench-scale");
     let instance = scale_instance(n, SCALE_ROUNDS, &mut rng);
     let config = MsoaConfig::pinned(2.0);
@@ -281,15 +267,13 @@ fn run_row(n: usize, configs: &[(usize, usize)]) -> (Vec<ScaleCell>, Vec<Option<
     // branch predictors, so the first measured rep of the first
     // configuration isn't uniquely cold — without it the sequential
     // base pays the cold-start cost and every ratio against it skews.
-    for &(threads, shards) in configs {
+    for &threads in configs {
         set_pricing_threads(threads);
-        edge_auction::set_shards(shards);
         let _ = run_msoa(&instance, &config).expect("scale instances are feasible");
     }
 
-    let measure = |threads: usize, shards: usize| {
+    let measure = |threads: usize| {
         set_pricing_threads(threads);
-        edge_auction::set_shards(shards);
         let before = edge_telemetry::pricing::snapshot();
         let sel_before = edge_telemetry::selection::snapshot();
         let start = Instant::now();
@@ -316,19 +300,19 @@ fn run_row(n: usize, configs: &[(usize, usize)]) -> (Vec<ScaleCell>, Vec<Option<
         }
     }
 
-    let base_at = configs.iter().position(|&(t, k)| t == 1 && k == 1);
+    let base_at = configs.iter().position(|&t| t == 1);
     for _ in 0..SCALE_REPS {
-        for (ci, (&(threads, shards), cell)) in configs.iter().zip(samples.iter_mut()).enumerate() {
+        for (ci, (&threads, cell)) in configs.iter().zip(samples.iter_mut()).enumerate() {
             // Precede every non-base measurement with a throwaway-cell
             // base run: the pair runs back-to-back, so its ratio sees
             // at most one run's worth of environment drift — far
             // tighter than pairing against the base cell's own rep,
             // which ran several configurations earlier.
             if base_at.is_some_and(|b| b != ci) {
-                let (_, base_delta, _, _) = measure(1, 1);
+                let (_, base_delta, _, _) = measure(1);
                 cell.paired_base_ns.push(base_delta.nanos);
             }
-            let (total, delta, sel_delta, outcome) = measure(threads, shards);
+            let (total, delta, sel_delta, outcome) = measure(threads);
             cell.totals.push(total);
             cell.pricing_ns.push(delta.nanos);
             cell.selection_ns.push(sel_delta.selection_ns);
@@ -343,7 +327,7 @@ fn run_row(n: usize, configs: &[(usize, usize)]) -> (Vec<ScaleCell>, Vec<Option<
     // the clean runtimes, so draw them until the ratio settles (or the
     // cap says the residual difference is real at this sample size).
     if let Some(bi) = base_at {
-        for (ci, &(threads, shards)) in configs.iter().enumerate() {
+        for (ci, &threads) in configs.iter().enumerate() {
             if ci == bi {
                 continue;
             }
@@ -361,8 +345,8 @@ fn run_row(n: usize, configs: &[(usize, usize)]) -> (Vec<ScaleCell>, Vec<Option<
                 if !in_band || settled {
                     break;
                 }
-                let (_, base_delta, _, _) = measure(1, 1);
-                let (total, delta, sel_delta, _) = measure(threads, shards);
+                let (_, base_delta, _, _) = measure(1);
+                let (total, delta, sel_delta, _) = measure(threads);
                 let cell = &mut samples[ci];
                 cell.paired_base_ns.push(base_delta.nanos);
                 cell.totals.push(total);
@@ -377,7 +361,7 @@ fn run_row(n: usize, configs: &[(usize, usize)]) -> (Vec<ScaleCell>, Vec<Option<
     let cells = configs
         .iter()
         .zip(samples)
-        .map(|(&(threads, shards), cell)| {
+        .map(|(&threads, cell)| {
             rep_ratios.push(
                 match (
                     floor_sample(&cell.paired_base_ns),
@@ -402,7 +386,6 @@ fn run_row(n: usize, configs: &[(usize, usize)]) -> (Vec<ScaleCell>, Vec<Option<
                 n,
                 rounds: SCALE_ROUNDS,
                 threads,
-                shards,
                 reps,
                 median_total_ns,
                 median_ns_per_round: median_total_ns / SCALE_ROUNDS,
@@ -422,18 +405,15 @@ fn run_row(n: usize, configs: &[(usize, usize)]) -> (Vec<ScaleCell>, Vec<Option<
 }
 
 /// Runs the scale sweep: populations from [`SCALE_SIZES`] up to
-/// `max_n`. With neither knob pinned, each population runs the default
-/// configuration grid — sequential `(threads 1, shards 1)`, threaded
-/// `(4, 1)`, adaptive `(0, 1)`, and sharded `(1, 4)`; pinning `threads`
-/// and/or `shards` collapses the grid to that single configuration
-/// (unpinned knob → `1`). Restores the process thread and shard
-/// settings afterwards.
-pub fn run_scale(max_n: usize, threads: Option<usize>, shards: Option<usize>) -> ScaleReport {
+/// `max_n`. Unpinned, each population runs the default thread grid —
+/// sequential `1`, threaded `4`, and adaptive `0`; pinning `threads`
+/// collapses the grid to that single configuration. Restores the
+/// process thread setting afterwards.
+pub fn run_scale(max_n: usize, threads: Option<usize>) -> ScaleReport {
     let saved = pricing_threads_setting();
-    let saved_shards = edge_auction::shards_setting();
-    let configs: Vec<(usize, usize)> = match (threads, shards) {
-        (None, None) => vec![(1, 1), (4, 1), (0, 1), (1, 4)],
-        (t, k) => vec![(t.unwrap_or(1), k.unwrap_or(1))],
+    let configs: Vec<usize> = match threads {
+        None => vec![1, 4, 0],
+        Some(t) => vec![t],
     };
     let sizes: Vec<usize> = SCALE_SIZES
         .into_iter()
@@ -463,21 +443,17 @@ pub fn run_scale(max_n: usize, threads: Option<usize>, shards: Option<usize>) ->
         }
     }
     set_pricing_threads(saved);
-    edge_auction::set_shards(saved_shards);
 
     let mut speedups = Vec::new();
     for &n in &sizes {
-        let Some(base_at) = cells
-            .iter()
-            .position(|c| c.n == n && c.threads == 1 && c.shards == 1)
-        else {
+        let Some(base_at) = cells.iter().position(|c| c.n == n && c.threads == 1) else {
             continue;
         };
         let base = &cells[base_at];
         for (at, cell) in cells
             .iter()
             .enumerate()
-            .filter(|(_, c)| c.n == n && (c.threads != 1 || c.shards != 1))
+            .filter(|(_, c)| c.n == n && c.threads != 1)
         {
             // Minima of time-interleaved samples: each measured rep of
             // this cell was immediately preceded by a base run, and
@@ -493,7 +469,6 @@ pub fn run_scale(max_n: usize, threads: Option<usize>, shards: Option<usize>) ->
                 n,
                 rounds: cell.rounds,
                 threads: cell.threads,
-                shards: cell.shards,
                 pricing_speedup_vs_1,
                 identical_outcomes: cell.outcome_digest == base.outcome_digest,
             });
@@ -517,7 +492,6 @@ impl ScaleReport {
         let mut t = Table::new([
             "n",
             "threads",
-            "shards",
             "ms/round",
             "selection ms",
             "merge ms",
@@ -530,7 +504,6 @@ impl ScaleReport {
             t.push([
                 c.n.to_string(),
                 c.threads.to_string(),
-                c.shards.to_string(),
                 format!("{:.2}", c.median_ns_per_round as f64 / 1e6),
                 format!("{:.2}", c.selection_ns as f64 / 1e6),
                 format!("{:.2}", c.merge_ns as f64 / 1e6),
@@ -543,11 +516,10 @@ impl ScaleReport {
         let mut out = t.render();
         for s in &self.speedups {
             out.push_str(&format!(
-                "n={}: pricing x{:.2} at {} threads / {} shards, outcomes {}\n",
+                "n={}: pricing x{:.2} at {} threads, outcomes {}\n",
                 s.n,
                 s.pricing_speedup_vs_1,
                 s.threads,
-                s.shards,
                 if s.identical_outcomes {
                     "identical"
                 } else {
@@ -578,25 +550,24 @@ mod tests {
 
     #[test]
     fn small_sweep_produces_identical_digests_across_configs() {
-        let report = run_scale(1_000, None, None);
+        let report = run_scale(1_000, None);
         assert_eq!(report.schema, SCALE_SCHEMA);
         assert_eq!(
             report.cells.len(),
-            4,
-            "one size: sequential, threaded, adaptive, sharded"
+            3,
+            "one size: sequential, threaded, adaptive"
         );
         let base = &report.cells[0];
         assert_eq!(base.threads, 1);
-        assert_eq!(base.shards, 1);
         for cell in &report.cells {
             assert_eq!(cell.outcome_digest, base.outcome_digest);
         }
-        assert_eq!(report.speedups.len(), 3, "every non-base config compared");
+        assert_eq!(report.speedups.len(), 2, "every non-base config compared");
         assert!(report.speedups.iter().all(|s| s.identical_outcomes));
         assert!(report.cells.iter().all(|c| c.payment_replays > 0));
         let json = report.to_json();
         assert!(json.contains("\"outcome_digest\""));
-        assert!(json.contains("\"shards\""));
+        assert!(!json.contains("\"shards\""));
         assert!(json.contains("\"selection_ns\""));
         assert!(json.contains(SCALE_SCHEMA));
         assert!(report.render().contains("payments/s"));
@@ -604,7 +575,7 @@ mod tests {
 
     #[test]
     fn v1_reports_upgrade_with_defaulted_columns() {
-        // A v1 report has no shards/selection_ns/merge_ns columns.
+        // A v1 report has no selection_ns/merge_ns columns.
         let v1 = r#"{
             "schema": "edge-market/bench-scale/v1",
             "threads_available": 1,
@@ -623,17 +594,40 @@ mod tests {
         let (report, upgraded) = parse_report(v1).unwrap();
         assert!(upgraded);
         assert_eq!(report.schema, SCALE_SCHEMA);
-        assert_eq!(report.cells[0].shards, 1);
         assert_eq!(report.cells[0].min_pricing_ns, 0);
         assert_eq!(report.cells[0].selection_ns, 0);
         assert_eq!(report.cells[0].merge_ns, 0);
         assert_eq!(report.cells[0].outcome_digest, "aa");
-        assert_eq!(report.speedups[0].shards, 1);
+    }
+
+    #[test]
+    fn v2_reports_with_a_shards_key_still_parse() {
+        // v2 baselines recorded before selection lost its shard setting.
+        let v2 = r#"{
+            "schema": "edge-market/bench-scale/v2",
+            "threads_available": 1,
+            "cells": [{
+                "n": 1000, "rounds": 3, "threads": 1, "shards": 1, "reps": 5,
+                "median_total_ns": 1, "median_ns_per_round": 1,
+                "median_pricing_ns": 1, "min_pricing_ns": 1,
+                "payments_per_sec": 1.0, "payment_replays": 1,
+                "replay_iterations": 1, "prefix_iterations": 1,
+                "selection_ns": 1, "merge_ns": 1, "outcome_digest": "bb"
+            }],
+            "speedups": [{
+                "n": 1000, "rounds": 3, "threads": 4, "shards": 1,
+                "pricing_speedup_vs_1": 1.0, "identical_outcomes": true
+            }]
+        }"#;
+        let (report, upgraded) = parse_report(v2).unwrap();
+        assert!(!upgraded);
+        assert_eq!(report.cells[0].outcome_digest, "bb");
+        assert_eq!(report.speedups[0].threads, 4);
     }
 
     #[test]
     fn v2_reports_parse_without_upgrade_and_others_are_rejected() {
-        let report = run_scale(1_000, Some(1), None);
+        let report = run_scale(1_000, Some(1));
         let (parsed, upgraded) = parse_report(&report.to_json()).unwrap();
         assert!(!upgraded);
         assert_eq!(
@@ -650,16 +644,8 @@ mod tests {
 
     #[test]
     fn pinned_thread_count_sweeps_single_column() {
-        let report = run_scale(1_000, Some(1), None);
+        let report = run_scale(1_000, Some(1));
         assert_eq!(report.cells.len(), 1);
         assert!(report.speedups.is_empty());
-    }
-
-    #[test]
-    fn pinned_shards_sweep_single_sharded_column() {
-        let report = run_scale(1_000, None, Some(2));
-        assert_eq!(report.cells.len(), 1);
-        assert_eq!(report.cells[0].threads, 1);
-        assert_eq!(report.cells[0].shards, 2);
     }
 }

@@ -2,9 +2,8 @@
 //!
 //! Compares a fresh scale-benchmark run (or a `--fresh` report file)
 //! against the committed `BENCH_scale.json` baseline, cell by cell over
-//! the intersecting `(n, threads, shards)` triples. v1 baselines (no
-//! shard column) are upgraded on load — their cells compare as
-//! `shards = 1` and their digests stay hard-checked:
+//! the intersecting `(n, threads)` pairs. v1 baselines (no stage
+//! columns) are upgraded on load and their digests stay hard-checked:
 //!
 //! * **outcome digests must match exactly** — a digest mismatch means
 //!   the auction now computes different winners or payments, which is
@@ -22,7 +21,7 @@
 
 use crate::args::{ArgsError, ParsedArgs};
 use crate::commands::CliError;
-use edge_bench::scale::{parse_report, run_scale, ScaleReport};
+use edge_bench::scale::{parse_report, run_scale, ScaleCell, ScaleReport};
 use edge_bench::table::Table;
 use std::fmt::Write as _;
 use std::fs;
@@ -32,10 +31,18 @@ use std::fs;
 pub struct DiffOutcome {
     /// The rendered, human-readable comparison table + verdict.
     pub rendered: String,
-    /// Cells compared (intersection of `(n, threads, shards)` triples).
+    /// Cells compared (intersection of `(n, threads)` pairs).
     pub compared: usize,
     /// Human-readable regression descriptions; empty means pass.
     pub regressions: Vec<String>,
+}
+
+/// The fresh cell measuring the same `(n, threads)` as `base_cell`.
+fn matching<'a>(fresh: &'a ScaleReport, base_cell: &ScaleCell) -> Option<&'a ScaleCell> {
+    fresh
+        .cells
+        .iter()
+        .find(|c| c.n == base_cell.n && c.threads == base_cell.threads)
 }
 
 /// Compares `fresh` against `base` (see module docs for the rules).
@@ -43,7 +50,6 @@ pub fn compare(base: &ScaleReport, fresh: &ScaleReport, tolerance: f64) -> DiffO
     let mut table = Table::new([
         "n",
         "threads",
-        "shards",
         "digest",
         "base ms",
         "fresh ms",
@@ -54,9 +60,7 @@ pub fn compare(base: &ScaleReport, fresh: &ScaleReport, tolerance: f64) -> DiffO
     let mut regressions = Vec::new();
     let mut compared = 0usize;
     for base_cell in &base.cells {
-        let Some(fresh_cell) = fresh.cells.iter().find(|c| {
-            c.n == base_cell.n && c.threads == base_cell.threads && c.shards == base_cell.shards
-        }) else {
+        let Some(fresh_cell) = matching(fresh, base_cell) else {
             continue;
         };
         compared += 1;
@@ -65,24 +69,19 @@ pub fn compare(base: &ScaleReport, fresh: &ScaleReport, tolerance: f64) -> DiffO
         if !digest_ok {
             verdicts.push("DIGEST");
             regressions.push(format!(
-                "n={} threads={} shards={}: outcome digest changed {} -> {} \
+                "n={} threads={}: outcome digest changed {} -> {} \
                  (outcomes must be bit-identical)",
-                base_cell.n,
-                base_cell.threads,
-                base_cell.shards,
-                base_cell.outcome_digest,
-                fresh_cell.outcome_digest
+                base_cell.n, base_cell.threads, base_cell.outcome_digest, fresh_cell.outcome_digest
             ));
         }
         let ratio = ratio_of(fresh_cell.median_total_ns, base_cell.median_total_ns);
         if ratio > 1.0 + tolerance {
             verdicts.push("SLOW");
             regressions.push(format!(
-                "n={} threads={} shards={}: total wall-clock {:.2}x the baseline \
+                "n={} threads={}: total wall-clock {:.2}x the baseline \
                  (tolerance {:.2}x)",
                 base_cell.n,
                 base_cell.threads,
-                base_cell.shards,
                 ratio,
                 1.0 + tolerance
             ));
@@ -91,11 +90,10 @@ pub fn compare(base: &ScaleReport, fresh: &ScaleReport, tolerance: f64) -> DiffO
         if pricing_ratio > 1.0 + tolerance {
             verdicts.push("SLOW-PRICING");
             regressions.push(format!(
-                "n={} threads={} shards={}: pricing phase {:.2}x the baseline \
+                "n={} threads={}: pricing phase {:.2}x the baseline \
                  (tolerance {:.2}x)",
                 base_cell.n,
                 base_cell.threads,
-                base_cell.shards,
                 pricing_ratio,
                 1.0 + tolerance
             ));
@@ -103,7 +101,6 @@ pub fn compare(base: &ScaleReport, fresh: &ScaleReport, tolerance: f64) -> DiffO
         table.push([
             base_cell.n.to_string(),
             base_cell.threads.to_string(),
-            base_cell.shards.to_string(),
             if digest_ok { "ok" } else { "CHANGED" }.to_string(),
             format!("{:.2}", base_cell.median_total_ns as f64 / 1e6),
             format!("{:.2}", fresh_cell.median_total_ns as f64 / 1e6),
@@ -155,7 +152,6 @@ pub fn stage_breakdown(base: &ScaleReport, fresh: &ScaleReport) -> String {
     let mut table = Table::new([
         "n",
         "threads",
-        "shards",
         "selection",
         "merge",
         "pricing",
@@ -164,9 +160,7 @@ pub fn stage_breakdown(base: &ScaleReport, fresh: &ScaleReport) -> String {
     ]);
     let mut rows = 0usize;
     for base_cell in &base.cells {
-        let Some(fresh_cell) = fresh.cells.iter().find(|c| {
-            c.n == base_cell.n && c.threads == base_cell.threads && c.shards == base_cell.shards
-        }) else {
+        let Some(fresh_cell) = matching(fresh, base_cell) else {
             continue;
         };
         rows += 1;
@@ -174,7 +168,6 @@ pub fn stage_breakdown(base: &ScaleReport, fresh: &ScaleReport) -> String {
             table.push([
                 base_cell.n.to_string(),
                 base_cell.threads.to_string(),
-                base_cell.shards.to_string(),
                 "n/a".to_string(),
                 "n/a".to_string(),
                 "n/a".to_string(),
@@ -219,7 +212,6 @@ pub fn stage_breakdown(base: &ScaleReport, fresh: &ScaleReport) -> String {
         table.push([
             base_cell.n.to_string(),
             base_cell.threads.to_string(),
-            base_cell.shards.to_string(),
             cell(&stages[0]),
             cell(&stages[1]),
             cell(&stages[2]),
@@ -272,7 +264,6 @@ pub fn bench_diff(args: &ParsedArgs) -> Result<String, CliError> {
         "fresh",
         "scale-max-n",
         "pricing-threads",
-        "shards",
         "tolerance",
         "profile",
     ])?;
@@ -293,9 +284,8 @@ pub fn bench_diff(args: &ParsedArgs) -> Result<String, CliError> {
         None => {
             let max_n = args.get_or("scale-max-n", 1_000usize)?;
             let pinned = crate::commands::apply_pricing_threads(args)?;
-            let pinned_shards = crate::commands::apply_shards(args)?;
             (
-                run_scale(max_n, pinned, pinned_shards),
+                run_scale(max_n, pinned),
                 format!("fresh run (max n {max_n})"),
             )
         }
@@ -308,7 +298,7 @@ pub fn bench_diff(args: &ParsedArgs) -> Result<String, CliError> {
     if baseline_upgraded {
         let _ = writeln!(
             out,
-            "note: baseline schema upgraded from v1 (shard column defaulted to 1; \
+            "note: baseline schema upgraded from v1 (stage columns defaulted to 0; \
              digests still hard-checked)"
         );
     }
@@ -336,7 +326,7 @@ mod tests {
     fn tiny_report() -> ScaleReport {
         // A real (tiny) run keeps the struct shape honest without
         // hand-building cells.
-        run_scale(1_000, Some(1), None)
+        run_scale(1_000, Some(1))
     }
 
     #[test]
@@ -402,7 +392,7 @@ mod tests {
         .unwrap();
         let (report, upgraded) = load_report(path.to_str().unwrap()).unwrap();
         assert!(upgraded);
-        assert_eq!(report.cells[0].shards, 1);
+        assert_eq!(report.cells[0].selection_ns, 0);
         assert_eq!(report.cells[0].outcome_digest, "aa");
         let _ = std::fs::remove_file(path);
     }

@@ -228,11 +228,11 @@ COMMANDS:
                     profile-side engine diagnostics (lane widths,
                     head-read totals, adaptive-pool decisions); span
                     structure is byte-identical at every
-                    --pricing-threads/--shards setting — only measured
+                    --pricing-threads setting — only measured
                     durations move
                     [--scale-n N] [--rounds T] [--seed N]
                     [--faults PLAN.toml] [--recovery on|off]
-                    [--pricing-threads N] [--shards K]
+                    [--pricing-threads N]
                     [--trace OUT.jsonl] [--folded OUT.folded]
                     [--folded-weight ns|calls]
     explain         narrate one round of a recorded trace: exclusions,
@@ -389,24 +389,6 @@ pub(crate) fn apply_pricing_threads(args: &ParsedArgs) -> Result<Option<usize>, 
     })?;
     edge_auction::set_pricing_threads(threads);
     Ok(Some(threads))
-}
-
-/// Applies `--shards` to the process-wide winner-selection shard count:
-/// `0` auto-detects from the hardware, `1` pins the single-lane-group
-/// arena, `N > 1` splits selection into `N` parallel shard groups with
-/// a deterministic merge. Outcomes and traces are byte-identical at
-/// every setting (the differential suite asserts this), so the flag is
-/// purely a performance knob.
-pub(crate) fn apply_shards(args: &ParsedArgs) -> Result<Option<usize>, CliError> {
-    let Some(raw) = args.get("shards") else {
-        return Ok(None);
-    };
-    let shards: usize = raw.parse().map_err(|_| ArgsError::InvalidValue {
-        flag: "shards".into(),
-        value: raw.to_owned(),
-    })?;
-    edge_auction::set_shards(shards);
-    Ok(Some(shards))
 }
 
 fn ssam_config(args: &ParsedArgs) -> Result<SsamConfig, CliError> {
@@ -694,7 +676,6 @@ fn reproduce(args: &ParsedArgs) -> Result<String, CliError> {
         "parallel",
         "trace",
         "pricing-threads",
-        "shards",
         "scale-out",
         "scale-max-n",
         "fed-out",
@@ -708,12 +689,11 @@ fn reproduce(args: &ParsedArgs) -> Result<String, CliError> {
         edge_bench::parallel::set_threads(threads);
     }
     let pinned_threads = apply_pricing_threads(args)?;
-    let pinned_shards = apply_shards(args)?;
     let figure = args.get("figure").unwrap_or("all");
     // The scale benchmark is not a paper figure: it never runs as part
     // of `all`, and it writes its machine-readable report to a file.
     if figure == "scale" {
-        return reproduce_scale(args, pinned_threads, pinned_shards);
+        return reproduce_scale(args, pinned_threads);
     }
     if figure == "fed-faults" {
         return reproduce_fed_faults(args);
@@ -760,13 +740,9 @@ fn reproduce(args: &ParsedArgs) -> Result<String, CliError> {
 /// machine-readable report ([`edge_bench::scale::ScaleReport`]).
 ///
 /// `--scale-max-n` bounds the swept populations; `--pricing-threads`
-/// and/or `--shards` (when given) pin the sweep to that single
-/// configuration instead of the default four-configuration grid.
-fn reproduce_scale(
-    args: &ParsedArgs,
-    pinned_threads: Option<usize>,
-    pinned_shards: Option<usize>,
-) -> Result<String, CliError> {
+/// (when given) pins the sweep to that single configuration instead of
+/// the default three-configuration grid.
+fn reproduce_scale(args: &ParsedArgs, pinned_threads: Option<usize>) -> Result<String, CliError> {
     let out_path = args.get("scale-out").unwrap_or("BENCH_scale.json");
     let max_n = args.get_or("scale-max-n", 100_000usize)?;
     let collector = args.get("trace").map(|_| {
@@ -774,7 +750,7 @@ fn reproduce_scale(
         edge_bench::profile::install(c.clone());
         c
     });
-    let report = edge_bench::scale::run_scale(max_n, pinned_threads, pinned_shards);
+    let report = edge_bench::scale::run_scale(max_n, pinned_threads);
     if collector.is_some() {
         edge_bench::profile::uninstall();
     }
@@ -1370,7 +1346,6 @@ mod tests {
         let json = std::fs::read_to_string(&out_path).unwrap();
         assert!(json.contains("edge-market/bench-scale/v2"), "{json}");
         assert!(json.contains("\"outcome_digest\""));
-        assert!(json.contains("\"shards\""));
         assert!(json.contains("\"selection_ns\""));
         assert!(json.contains("\"pricing_speedup_vs_1\""));
         edge_auction::set_pricing_threads(1);
@@ -1398,30 +1373,6 @@ mod tests {
         let json = std::fs::read_to_string(&out_path).unwrap();
         assert!(json.contains("\"threads\": 1"), "{json}");
         edge_auction::set_pricing_threads(1);
-        let _ = std::fs::remove_file(out_path);
-    }
-
-    #[test]
-    fn reproduce_scale_with_pinned_shards_sweeps_one_sharded_column() {
-        let _g = PRICING_FLAG_LOCK.lock().unwrap();
-        let out_path = temp_path("scale-sharded.json");
-        let out_s = out_path.to_str().unwrap();
-        let out = run(parsed(&[
-            "reproduce",
-            "--figure",
-            "scale",
-            "--scale-max-n",
-            "1000",
-            "--shards",
-            "4",
-            "--scale-out",
-            out_s,
-        ]))
-        .unwrap();
-        assert!(out.contains("1 cells"), "{out}");
-        let json = std::fs::read_to_string(&out_path).unwrap();
-        assert!(json.contains("\"shards\": 4"), "{json}");
-        edge_auction::set_shards(1);
         let _ = std::fs::remove_file(out_path);
     }
 
@@ -1594,7 +1545,7 @@ mod tests {
         let _g = PRICING_FLAG_LOCK.lock().unwrap();
         // One real tiny report serves as both baseline and "fresh":
         // byte-identical inputs must pass at zero tolerance.
-        let report = edge_bench::scale::run_scale(1_000, Some(1), None);
+        let report = edge_bench::scale::run_scale(1_000, Some(1));
         edge_auction::set_pricing_threads(1);
         let base_path = temp_path("bench-base.json");
         let base_s = base_path.to_str().unwrap();

@@ -6,9 +6,9 @@
 //! percentages, the attribution line (how much top-level wall time sits
 //! inside named sub-stages), the deterministic per-span counters, and
 //! the profile-side engine diagnostics. Because span *structure* is
-//! knob-invariant, the same command at `--pricing-threads 1` and `4` —
-//! or `--shards 1` and `4` — prints the same tree shape and counters;
-//! only the measured durations move.
+//! knob-invariant, the same command at `--pricing-threads 1` and `4`
+//! prints the same tree shape and counters; only the measured durations
+//! move.
 //!
 //! `--trace` writes the full two-section trace (deterministic MSOA
 //! events plus flushed `span` events, then the `"section":"profile"`
@@ -17,7 +17,7 @@
 //! — for byte-deterministic output — by call counts.
 
 use crate::args::{ArgsError, ParsedArgs};
-use crate::commands::{apply_pricing_threads, apply_shards, CliError};
+use crate::commands::{apply_pricing_threads, CliError};
 use crate::faults::parse_fault_plan;
 use edge_auction::msoa::{run_msoa_traced, MsoaConfig};
 use edge_auction::recovery::{run_msoa_with_faults_traced, RecoveryConfig};
@@ -43,7 +43,6 @@ pub fn profile(args: &ParsedArgs) -> Result<String, CliError> {
         "faults",
         "recovery",
         "pricing-threads",
-        "shards",
         "trace",
         "folded",
         "folded-weight",
@@ -78,12 +77,10 @@ pub fn profile(args: &ParsedArgs) -> Result<String, CliError> {
         None => None,
     };
 
-    // The knobs are process-wide; restore them so an in-process caller
-    // (the test suite) sees no leakage.
+    // The knob is process-wide; restore it so an in-process caller (the
+    // test suite) sees no leakage.
     let saved_threads = edge_auction::pricing_threads_setting();
-    let saved_shards = edge_auction::shards_setting();
     apply_pricing_threads(args)?;
-    apply_shards(args)?;
     spans::install();
     let run = run_instance(args, n, rounds, seed, &recovery, plan.as_ref());
     let tree = spans::uninstall().unwrap_or_else(|| {
@@ -93,7 +90,6 @@ pub fn profile(args: &ParsedArgs) -> Result<String, CliError> {
         spans::uninstall().expect("freshly installed tree")
     });
     edge_auction::set_pricing_threads(saved_threads);
-    edge_auction::set_shards(saved_shards);
     let (summary, collector) = run?;
 
     let mut out = String::new();
@@ -183,10 +179,10 @@ fn run_instance(
     Ok((summary, collector))
 }
 
-/// Renders the pricing-phase lane-scan cost: with the lane arena
-/// engaged, every `pop_best` examines one head per lane, so the mean
-/// heads-per-scan quantifies what the sharded layout costs the pricing
-/// phase per argmin query.
+/// Renders the argmin cost per query: every `pop_best` ranks O(log
+/// lanes) lane heads in the arena's tree (walk, tie descent, and the
+/// repairs after heads move), so the mean heads-per-scan shows how the
+/// selection and pricing phases pay for each argmin.
 fn lane_scan_note(tree: &SpanTree) -> String {
     let mut out = String::new();
     for view in tree.views() {
@@ -207,7 +203,7 @@ fn lane_scan_note(tree: &SpanTree) -> String {
             continue;
         }
         if out.is_empty() {
-            out.push_str("\nlane-head scan cost (arena engine)\n");
+            out.push_str("\nlane-head reads per argmin query\n");
         }
         let _ = writeln!(
             out,

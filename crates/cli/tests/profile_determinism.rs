@@ -1,6 +1,6 @@
 //! Span-profiler determinism: the deterministic trace section and the
 //! call-weighted folded stacks of `edge-market profile` must be
-//! byte-identical at any `--pricing-threads` / `--shards` setting, on a
+//! byte-identical at any `--pricing-threads` setting, on a
 //! seeded *faulty* instance (so recovery rungs and backfill spans are
 //! exercised too) — only the `"section":"profile"` tail may move.
 //!
@@ -10,7 +10,7 @@
 //! accepted events and replay applies exactly the accepted sequence.
 //!
 //! Every run is a subprocess of the built binary, so the process-global
-//! pricing-thread / shard knobs never race other tests.
+//! pricing-thread knob never races other tests.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -65,9 +65,9 @@ fn profile_is_knob_invariant_on_a_faulty_instance() {
     let mut dets = Vec::new();
     let mut folds = Vec::new();
     let mut stdouts = Vec::new();
-    for (threads, shards) in [("1", "1"), ("4", "1"), ("1", "4"), ("4", "4")] {
-        let trace = temp_path(&format!("t{threads}s{shards}.jsonl"));
-        let folded = temp_path(&format!("t{threads}s{shards}.folded"));
+    for threads in ["1", "4"] {
+        let trace = temp_path(&format!("t{threads}.jsonl"));
+        let folded = temp_path(&format!("t{threads}.folded"));
         let stdout = run_ok(&[
             "profile",
             "--scale-n",
@@ -80,8 +80,6 @@ fn profile_is_knob_invariant_on_a_faulty_instance() {
             &plan_s,
             "--pricing-threads",
             threads,
-            "--shards",
-            shards,
             "--trace",
             trace.to_str().unwrap(),
             "--folded",
@@ -92,7 +90,7 @@ fn profile_is_knob_invariant_on_a_faulty_instance() {
         let trace_text = std::fs::read_to_string(&trace).expect("trace written");
         assert!(
             trace_text.contains("\"section\":\"profile\""),
-            "no profile tail at threads={threads} shards={shards}"
+            "no profile tail at threads={threads}"
         );
         dets.push(deterministic_section(&trace_text));
         folds.push(std::fs::read_to_string(&folded).expect("folded written"));
@@ -109,32 +107,24 @@ fn profile_is_knob_invariant_on_a_faulty_instance() {
     assert!(dets[0].contains("pop_best_scans"), "{}", dets[0]);
     assert!(dets[0].contains("backfill"), "{}", dets[0]);
     assert!(folds[0].contains("profile;run;msoa"), "{}", folds[0]);
-    for (threads, shards) in [("4", "1"), ("1", "4"), ("4", "4")] {
-        let i = match (threads, shards) {
-            ("4", "1") => 1,
-            ("1", "4") => 2,
-            _ => 3,
-        };
-        assert_eq!(
-            dets[0], dets[i],
-            "deterministic section diverged at threads={threads} shards={shards}"
-        );
-        assert_eq!(
-            folds[0], folds[i],
-            "calls-weighted folded stacks diverged at threads={threads} shards={shards}"
-        );
-    }
+    assert_eq!(
+        dets[0], dets[1],
+        "deterministic section diverged at 4 threads"
+    );
+    assert_eq!(
+        folds[0], folds[1],
+        "calls-weighted folded stacks diverged at 4 threads"
+    );
 
     // The waterfall attributes the run to named stages and surfaces the
-    // sharded pricing phase's lane-head scan cost per pop_best query.
+    // lane-head reads per pop_best query.
     for stdout in &stdouts {
         assert!(stdout.contains("attributed:"), "{stdout}");
+        assert!(
+            stdout.contains("pop_best scans"),
+            "no lane-head note:\n{stdout}"
+        );
     }
-    assert!(
-        stdouts[2].contains("pop_best scans"),
-        "no lane-scan note at shards=4:\n{}",
-        stdouts[2]
-    );
 }
 
 #[test]

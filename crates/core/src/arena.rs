@@ -1,51 +1,30 @@
-//! The cloud-sharded, cache-friendly SoA bid arena behind SSAM's greedy.
+//! The SoA bid arena and the lane argmin tree behind SSAM's greedy.
 //!
-//! [`crate::ssam`]'s lazy-deletion heap is *semantically* an argmin: each
-//! iteration it returns the unsold, safe bid minimizing the greedy key
-//! `(∇/U, seller, id)` with `∇/U = price / min(amount, remaining)`
-//! (DESIGN.md §5 — lazy deletion and permanent unsafe-discards are pure
-//! optimizations over that functional contract). This module implements
-//! the same argmin over a **structure-of-arrays arena** partitioned into
-//! *lanes*:
+//! Every iteration of SSAM's winner selection (Algorithm 1, line 4) is
+//! one argmin: the unsold, safe bid minimizing the greedy key
+//! `(∇/U, seller, id)` with `∇/U = price / min(amount, remaining)`.
+//! [`BidArena::pop_best`] answers it over a structure-of-arrays arena
+//! with one *lane* per distinct amount, in ascending amount order and
+//! uncapped. A lane is sorted once by `(price, seller, id)`; its bids
+//! share one denominator at every state, so its head (the first entry
+//! past the cursor) is its minimum. Cursors only move forward: sold and
+//! unsafe heads are dead for good ("once unsafe, always unsafe",
+//! DESIGN.md §5) and are skipped when a query surfaces them.
 //!
-//! * Bids are grouped by `(shard, amount class)`. Sellers map to shards
-//!   in contiguous blocks of the (sorted) seller table — the stand-in
-//!   for "edge cloud / resource region" locality. Every lane is sorted
-//!   once by `(price, seller, id)` under the total order of
-//!   `f64::total_cmp`.
-//! * Within a lane all bids share one `amount`, so they share the
-//!   denominator `min(amount, remaining)` at every state — price order
-//!   **is** key order, for any `remaining`. The lane head (first entry
-//!   past the cursor) is therefore the lane's minimum, and the global
-//!   argmin is the minimum over lane heads with the heap's exact
-//!   `(key, seller, id)` tie-break.
-//! * Cursors only move forward: a head entry whose seller already sold
-//!   is dead forever, and an *unsafe* head is dead forever by the
-//!   "once unsafe, always unsafe" monotonicity the heap already relies
-//!   on — so a skip is a permanent cursor advance, never a re-scan.
-//!
-//! One pedantic wrinkle keeps bit-exactness airtight: two *different*
-//! prices can divide to the *same* f64 key (rounding). The heap would
-//! then tie-break on `(seller, id)` across those prices, while a lane
-//! orders them by price. [`BidArena::pop_best`] detects the case (a
-//! binary search to the next price run, almost never taken) and scans
-//! the colliding runs for the true `(seller, id)` minimum.
-//!
-//! Sharding never changes results: shards only partition lanes, and the
-//! merge compares **all** lane heads under the global tie-break, so any
-//! shard count — including 1 — pops the identical sequence. What shards
-//! buy is parallel arena *construction* (each shard's lanes sort
-//! independently) and cache locality at scale; what lanes buy is O(L)
-//! replay *forking* — a payment replay clones the cursor vector instead
-//! of rebuilding an O(n) heap (see `ssam.rs`'s batched replays).
-//!
-//! The arena is an internal engine: `ssam.rs` falls back to the heap
-//! when an instance is not lane-friendly (more distinct amounts than
-//! [`crate::pricing`]'s lane-class cap, or ids beyond `u32`), and the
-//! differential suite pins both engines to the scan oracle bit-for-bit.
+//! Lanes with `amount ≥ remaining` all divide by `remaining`, so their
+//! order against the other lanes changes with every sale and a plain
+//! loser tree would go stale. Split at `s`, the first such class, the
+//! keys below `s` are `price / amount` (fixed per head) and the keys
+//! from `s` up are ordered by price. Each segment-tree node keeps its
+//! range's argmin lane in both orders; a pop walks root to leaf `s`
+//! once, taking the first order over the prefix and the second over the
+//! suffix — O(log L) for L lanes. Two different prices can still divide
+//! to one f64 key, so every lane whose head reaches the minimum key is
+//! visited and checked for a colliding run with a smaller
+//! `(seller, id)`. DESIGN.md §16 has the full argument.
 
 use crate::bid::Bid;
-use crate::ssam::HeapStats;
+use crate::ssam::ArgminStats;
 use edge_common::id::MicroserviceId;
 use std::collections::BTreeMap;
 
@@ -117,200 +96,455 @@ pub(crate) struct Pick {
     /// Position within the lane's column range (absolute column index).
     pub pos: u32,
     /// The greedy key `price / min(amount, remaining)` — exactly the
-    /// `r_k` the heap path computes, same arithmetic, same bits.
+    /// `r_k` the scan oracle computes, same arithmetic, same bits.
     pub key: f64,
     /// Seller slot.
     pub slot: u32,
     /// Bid id (raw index).
-    pub bid: u32,
+    pub bid: u64,
     /// Index into the candidate list the arena was built from.
     pub cand: u32,
     /// The lane's amount class (= the bid's amount).
     pub amount: u64,
 }
 
+/// Tree entry of an empty range (every lane in it exhausted).
+const NONE: u32 = u32::MAX;
+/// Tree order of the lanes below the split: `(price / amount, seller, id)`.
+const UNIT: usize = 0;
+/// Tree order of the lanes from the split up: `(price, seller, id)`.
+const PRICE: usize = 1;
+
+/// A lane head's position in one tree order. Entries are unique by
+/// `(slot, bid)`, so the order is strict across distinct entries.
+#[derive(Debug, Clone, Copy)]
+struct Rank {
+    key: f64,
+    slot: u32,
+    bid: u64,
+}
+
+impl Rank {
+    fn lt(&self, other: &Rank) -> bool {
+        self.key
+            .total_cmp(&other.key)
+            .then_with(|| self.slot.cmp(&other.slot))
+            .then_with(|| self.bid.cmp(&other.bid))
+            .is_lt()
+    }
+}
+
+/// One node of the argmin tree.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// The range's argmin lane in the [`UNIT`] and [`PRICE`] orders
+    /// ([`NONE`] when every lane in it is exhausted).
+    min: [u32; 2],
+    /// Whether the children's [`UNIT`] argmins may share a key. Exact
+    /// when the node was last recomputed and only ever stale towards
+    /// `true`, so `false` proves that no lane in the non-argmin child
+    /// ties the node's minimum — the tie descent then skips a read.
+    unit_tie: bool,
+}
+
+/// The mutable state of one greedy run over an arena: lane cursors plus
+/// the argmin tree over their heads. Cloning it forks a replay.
+#[derive(Debug, Clone)]
+pub(crate) struct Cursors {
+    /// Absolute column index of each lane's head.
+    pos: Vec<u32>,
+    /// Implicit binary tree: node 1 is the root, node `n` has children
+    /// `2n` and `2n + 1`, and lane `l` is leaf `leaves + l`.
+    tree: Vec<Node>,
+}
+
+impl Cursors {
+    /// Overwrites `self` with `other` without reallocating (both come
+    /// from the same arena).
+    pub(crate) fn copy_from(&mut self, other: &Cursors) {
+        self.pos.copy_from_slice(&other.pos);
+        self.tree.copy_from_slice(&other.tree);
+    }
+
+    fn leaves(&self) -> usize {
+        self.tree.len() / 2
+    }
+}
+
 /// The SoA lane arena. Columns are contiguous across lanes;
-/// `lane_start` delimits each lane's range. Lanes are shard-major,
-/// class-minor: `lane = shard * classes.len() + class_index`.
+/// `lane_start` delimits each lane's range, lanes in ascending amount.
 #[derive(Debug)]
 pub(crate) struct BidArena {
     classes: Vec<u64>,
     lane_start: Vec<u32>,
     price: Vec<f64>,
     slot: Vec<u32>,
-    bid: Vec<u32>,
+    bid: Vec<u64>,
     cand: Vec<u32>,
+    /// Every cursor at its lane start, tree built.
+    initial: Cursors,
 }
 
-/// Scatter entry used during construction: sort key is
+/// Scatter entry used during construction, sorted by
 /// `(total-order price bits, slot, bid)` — unique per entry because a
 /// seller cannot reuse a bid id.
-type BuildEntry = (u64, u32, u32, u32);
+#[derive(Debug, Clone, Copy, Default)]
+struct BuildEntry {
+    price: u64,
+    bid: u64,
+    slot: u32,
+    cand: u32,
+}
 
-impl BidArena {
-    /// Builds the arena over `candidates`, or `None` when the instance
-    /// is not lane-friendly: more distinct amounts than `class_cap`
-    /// (each class costs a lane per shard, and the merge is O(lanes)
-    /// per pop), or ids/positions beyond `u32`.
-    pub(crate) fn build(
-        candidates: &[&Bid],
-        table: &SellerTable,
-        shards: usize,
-        class_cap: usize,
-    ) -> Option<BidArena> {
-        if candidates.len() >= u32::MAX as usize || table.len() >= u32::MAX as usize {
+/// One argmin query's fixed inputs: the state's `remaining`, the
+/// minimum key the walk found, and the liveness filters.
+struct Probe<'a, S, F> {
+    remaining: u64,
+    min_key: f64,
+    sold: &'a S,
+    safe: &'a F,
+}
+
+/// The tree nodes covering lanes `[0, split)` in the [`UNIT`] order and
+/// `[split, leaves)` in the [`PRICE`] order: the siblings along the
+/// root-to-`split` path, at most one per level plus one — fewer than 64
+/// for any lane count that fits a `u32`, so a `u64` mask indexes them.
+fn cover(split: usize, leaves: usize) -> impl Iterator<Item = (usize, usize)> {
+    let (mut node, mut lo, mut hi) = (1, 0, leaves);
+    let mut pending = match split {
+        0 => Some((1, PRICE)),
+        s if s >= leaves => Some((1, UNIT)),
+        _ => None,
+    };
+    let mut done = pending.is_some();
+    std::iter::from_fn(move || {
+        if let Some(next) = pending.take() {
+            return Some(next);
+        }
+        if done {
             return None;
         }
+        let mid = (lo + hi) / 2;
+        let (left, right) = (2 * node, 2 * node + 1);
+        if split < mid {
+            (node, hi) = (left, mid);
+            Some((right, PRICE))
+        } else if split > mid {
+            (node, lo) = (right, mid);
+            Some((left, UNIT))
+        } else {
+            done = true;
+            pending = Some((right, PRICE));
+            Some((left, UNIT))
+        }
+    })
+}
+
+impl BidArena {
+    /// Builds the arena over `candidates`: one lane per distinct amount.
+    pub(crate) fn build(candidates: &[&Bid], table: &SellerTable) -> BidArena {
+        assert!(candidates.len() <= u32::MAX as usize, "positions are u32");
         let mut classes: Vec<u64> = candidates.iter().map(|b| b.amount).collect();
         classes.sort_unstable();
         classes.dedup();
-        if classes.is_empty() || classes.len() > class_cap {
-            return (classes.is_empty()).then(|| BidArena {
-                classes,
-                lane_start: vec![0],
-                price: Vec::new(),
-                slot: Vec::new(),
-                bid: Vec::new(),
-                cand: Vec::new(),
-            });
-        }
-        if candidates.iter().any(|b| b.id.index() >= u32::MAX as usize) {
-            return None;
+        let lanes = classes.len();
+
+        // One counting pass, one scatter, one sort per lane.
+        let mut lane_start = vec![0u32; lanes + 1];
+        let entry_lane: Vec<u32> = candidates
+            .iter()
+            .map(|b| {
+                let lane = classes.binary_search(&b.amount).expect("amount is a class");
+                lane_start[lane + 1] += 1;
+                lane as u32
+            })
+            .collect();
+        for lane in 0..lanes {
+            lane_start[lane + 1] += lane_start[lane];
         }
 
-        let n_classes = classes.len();
-        let n_slots = table.len();
-        let shards = shards.clamp(1, n_slots.max(1));
-        let lanes = shards * n_classes;
-
-        // Slot → shard in contiguous blocks over the sorted seller
-        // table; class by binary search. One counting pass, one scatter.
-        let lane_of = |slot: u32, amount: u64| -> usize {
-            let shard = (slot as usize * shards) / n_slots;
-            let class = classes.binary_search(&amount).expect("amount is a class");
-            shard * n_classes + class
-        };
-        let mut counts = vec![0u32; lanes];
-        let mut entry_lane = Vec::with_capacity(candidates.len());
-        for b in candidates {
-            let lane = lane_of(table.slot_of(b.seller), b.amount);
-            counts[lane] += 1;
-            entry_lane.push(lane as u32);
-        }
-        let mut lane_start = Vec::with_capacity(lanes + 1);
-        let mut acc = 0u32;
-        for &c in &counts {
-            lane_start.push(acc);
-            acc += c;
-        }
-        lane_start.push(acc);
-
-        let mut entries: Vec<BuildEntry> = vec![(0, 0, 0, 0); candidates.len()];
+        let mut entries = vec![BuildEntry::default(); candidates.len()];
         let mut fill = lane_start[..lanes].to_vec();
         for (i, b) in candidates.iter().enumerate() {
             let lane = entry_lane[i] as usize;
-            let at = fill[lane] as usize;
+            entries[fill[lane] as usize] = BuildEntry {
+                price: total_order_key(b.price.value()),
+                bid: b.id.index() as u64,
+                slot: table.slot_of(b.seller),
+                cand: i as u32,
+            };
             fill[lane] += 1;
-            entries[at] = (
-                total_order_key(b.price.value()),
-                table.slot_of(b.seller),
-                b.id.index() as u32,
-                i as u32,
-            );
+        }
+        for lane in 0..lanes {
+            entries[lane_start[lane] as usize..lane_start[lane + 1] as usize]
+                .sort_unstable_by_key(|e| (e.price, e.slot, e.bid));
         }
 
-        sort_shards(&mut entries, &lane_start, shards, n_classes);
-
-        let mut price = Vec::with_capacity(entries.len());
-        let mut slot = Vec::with_capacity(entries.len());
-        let mut bid = Vec::with_capacity(entries.len());
-        let mut cand = Vec::with_capacity(entries.len());
-        for &(_, s, b, c) in &entries {
-            price.push(candidates[c as usize].price.value());
-            slot.push(s);
-            bid.push(b);
-            cand.push(c);
-        }
-        Some(BidArena {
+        let mut arena = BidArena {
+            price: entries
+                .iter()
+                .map(|e| candidates[e.cand as usize].price.value())
+                .collect(),
+            slot: entries.iter().map(|e| e.slot).collect(),
+            bid: entries.iter().map(|e| e.bid).collect(),
+            cand: entries.iter().map(|e| e.cand).collect(),
+            initial: Cursors {
+                pos: lane_start[..lanes].to_vec(),
+                tree: vec![
+                    Node {
+                        min: [NONE; 2],
+                        unit_tie: false,
+                    };
+                    2 * lanes.next_power_of_two()
+                ],
+            },
             classes,
             lane_start,
-            price,
-            slot,
-            bid,
-            cand,
-        })
+        };
+        let leaves = arena.initial.leaves();
+        let mut tree = std::mem::take(&mut arena.initial.tree);
+        for (lane, leaf) in tree[leaves..leaves + lanes].iter_mut().enumerate() {
+            leaf.min = [lane as u32; 2];
+        }
+        let mut scratch = ArgminStats::default();
+        let pos = &arena.initial.pos;
+        for node in (1..leaves).rev() {
+            let (l, r) = (tree[2 * node].min, tree[2 * node + 1].min);
+            for order in [UNIT, PRICE] {
+                tree[node].min[order] = match (l[order], r[order]) {
+                    (NONE, _) => r[order],
+                    (_, NONE) => l[order],
+                    (a, b) => {
+                        let ra = arena.rank(arena.head(pos, a, &mut scratch), a, order);
+                        let rb = arena.rank(arena.head(pos, b, &mut scratch), b, order);
+                        if order == UNIT {
+                            tree[node].unit_tie = ra.key.total_cmp(&rb.key).is_eq();
+                        }
+                        if rb.lt(&ra) {
+                            b
+                        } else {
+                            a
+                        }
+                    }
+                };
+            }
+        }
+        arena.initial.tree = tree;
+        arena
     }
 
-    /// Number of lanes (shards × amount classes).
+    /// Number of lanes (= distinct amounts).
     pub(crate) fn lanes(&self) -> usize {
-        self.lane_start.len() - 1
+        self.classes.len()
     }
 
-    /// A fresh cursor vector: every lane at its own start offset
-    /// (cursors are absolute column indices).
-    pub(crate) fn initial_cursors(&self) -> Vec<u32> {
-        self.lane_start[..self.lanes()].to_vec()
+    /// A fresh run state: every lane at its own start offset.
+    pub(crate) fn initial_cursors(&self) -> Cursors {
+        self.initial.clone()
+    }
+
+    /// Reads a live lane's head: one lane-head read.
+    fn head(&self, pos: &[u32], lane: u32, stats: &mut ArgminStats) -> Rank {
+        stats.head_reads += 1;
+        let at = pos[lane as usize] as usize;
+        Rank {
+            key: self.price[at],
+            slot: self.slot[at],
+            bid: self.bid[at],
+        }
+    }
+
+    /// A head (as read by [`Self::head`]) ranked in tree order `order`.
+    fn rank(&self, head: Rank, lane: u32, order: usize) -> Rank {
+        if order == UNIT {
+            Rank {
+                key: head.key / self.classes[lane as usize] as f64,
+                ..head
+            }
+        } else {
+            head
+        }
     }
 
     /// Marks a picked entry consumed when it sits exactly at the lane
     /// head (its seller just sold, so the skip is permanent). A deeper
     /// pick — possible only through the key-collision path — stays and
     /// dies lazily instead.
-    pub(crate) fn consume(&self, cursors: &mut [u32], pick: &Pick) {
-        if cursors[pick.lane as usize] == pick.pos {
-            cursors[pick.lane as usize] = pick.pos + 1;
+    pub(crate) fn consume(&self, cur: &mut Cursors, pick: &Pick, stats: &mut ArgminStats) {
+        if cur.pos[pick.lane as usize] == pick.pos {
+            cur.pos[pick.lane as usize] = pick.pos + 1;
+            self.repair(cur, pick.lane, stats);
+        }
+    }
+
+    /// Restores the tree after `lane`'s head moved forward. The head's
+    /// rank only grows, so in each order the walk up stops at the first
+    /// node that did not hold `lane`: nothing above it can change.
+    fn repair(&self, cur: &mut Cursors, lane: u32, stats: &mut ArgminStats) {
+        let leaf = cur.leaves() + lane as usize;
+        let live = cur.pos[lane as usize] < self.lane_start[lane as usize + 1];
+        let head = live.then(|| self.head(&cur.pos, lane, stats));
+        for order in [UNIT, PRICE] {
+            let mut best = if live { lane } else { NONE };
+            let mut best_rank = head.map(|h| self.rank(h, lane, order));
+            cur.tree[leaf].min[order] = best;
+            let mut node = leaf;
+            while node > 1 && cur.tree[node / 2].min[order] == lane {
+                let sibling = cur.tree[node ^ 1].min[order];
+                let mut tie = false;
+                if sibling != NONE {
+                    let r = self.rank(self.head(&cur.pos, sibling, stats), sibling, order);
+                    tie = best_rank.is_some_and(|b| b.key.total_cmp(&r.key).is_eq());
+                    if best_rank.is_none_or(|b| r.lt(&b)) {
+                        best = sibling;
+                        best_rank = Some(r);
+                    }
+                }
+                node /= 2;
+                cur.tree[node].min[order] = best;
+                if order == UNIT {
+                    cur.tree[node].unit_tie = tie;
+                }
+            }
+        }
+    }
+
+    /// The greedy key of a live lane's head, given the tree order it is
+    /// ranked in: `price / amount` below the split, `price / remaining`
+    /// from it up.
+    fn key(
+        &self,
+        cur: &Cursors,
+        lane: u32,
+        order: usize,
+        remaining: u64,
+        stats: &mut ArgminStats,
+    ) -> f64 {
+        let key = self.rank(self.head(&cur.pos, lane, stats), lane, order).key;
+        if order == PRICE {
+            key / remaining as f64
+        } else {
+            key
         }
     }
 
     /// The unsold, safe bid minimizing `(key, seller, id)` — the exact
-    /// functional contract of the heap's `pop_best_safe`, over lane
+    /// functional contract of the scan oracle's `best_safe`, over lane
     /// cursors. `sold` must answer per-slot liveness (including
     /// excluded-seller and replay-epoch rules); `safe` is the
     /// feasibility filter for `(amount, slot)`. Skipped heads advance
-    /// `cursors` permanently; counters land in `stats` (`pops` counts
-    /// examined entries, discards as in the heap, `repushes` stays 0 —
-    /// lane keys are computed fresh each pop and cannot go stale).
-    pub(crate) fn pop_best(
+    /// `cur` permanently; counters land in `stats` (`pops` counts
+    /// examined entries, `head_reads` every lane-head rank computed,
+    /// tree repairs included).
+    pub(crate) fn pop_best<S, F>(
         &self,
-        cursors: &mut [u32],
+        cur: &mut Cursors,
         remaining: u64,
-        stats: &mut HeapStats,
-        sold: impl Fn(u32) -> bool,
-        safe: impl Fn(u64, u32) -> bool,
-    ) -> Option<Pick> {
+        stats: &mut ArgminStats,
+        sold: S,
+        safe: F,
+    ) -> Option<Pick>
+    where
+        S: Fn(u32) -> bool,
+        F: Fn(u64, u32) -> bool,
+    {
         stats.scans += 1;
-        stats.head_reads += cursors.len() as u64;
-        let n_classes = self.classes.len();
-        let mut best: Option<Pick> = None;
-        for (lane, cursor) in cursors.iter_mut().enumerate() {
-            let amount = self.classes[lane % n_classes];
-            let end = self.lane_start[lane + 1];
-            let mut pos = *cursor;
+        let split = self.classes.partition_point(|&a| a < remaining);
+        let leaves = cur.leaves();
+        loop {
+            // The minimum key over the cover, and which cover nodes (by
+            // walk index) reach it.
+            let mut min_key: Option<f64> = None;
+            let mut tied = 0u64;
+            for (i, (node, order)) in cover(split, leaves).enumerate() {
+                let lane = cur.tree[node].min[order];
+                if lane == NONE {
+                    continue;
+                }
+                let key = self.key(cur, lane, order, remaining, stats);
+                match min_key.map(|m| key.total_cmp(&m)) {
+                    None | Some(std::cmp::Ordering::Less) => {
+                        min_key = Some(key);
+                        tied = 1 << i;
+                    }
+                    Some(std::cmp::Ordering::Equal) => tied |= 1 << i,
+                    Some(std::cmp::Ordering::Greater) => {}
+                }
+            }
+            let probe = Probe {
+                remaining,
+                min_key: min_key?,
+                sold: &sold,
+                safe: &safe,
+            };
+            // Every lane whose head reaches the minimum key may hold the
+            // winner: visit each, descending only into tied nodes.
+            let mut best: Option<Pick> = None;
+            for (i, (node, order)) in cover(split, leaves).enumerate() {
+                if tied >> i & 1 == 1 {
+                    self.visit_ties(cur, node, order, &probe, stats, &mut best);
+                }
+            }
+            if best.is_some() {
+                stats.pops += 1;
+                return best;
+            }
+            // Every tied head was dead: they are skipped now, so the
+            // next walk sees a larger minimum.
+        }
+    }
+
+    /// Visits every lane under `node` whose head reaches the probe's
+    /// minimum key in `order`; `node` itself must reach it.
+    fn visit_ties<S, F>(
+        &self,
+        cur: &mut Cursors,
+        node: usize,
+        order: usize,
+        probe: &Probe<'_, S, F>,
+        stats: &mut ArgminStats,
+        best: &mut Option<Pick>,
+    ) where
+        S: Fn(u32) -> bool,
+        F: Fn(u64, u32) -> bool,
+    {
+        let leaves = cur.leaves();
+        if node >= leaves {
+            // A lane whose head reached the minimum key: skip its dead
+            // heads, and if the live head still has that key, offer the
+            // lane's `(seller, id)`-minimal entry at that key to `best`.
+            let lane = (node - leaves) as u32;
+            let amount = self.classes[lane as usize];
+            let end = self.lane_start[lane as usize + 1];
+            let start = cur.pos[lane as usize];
+            let mut pos = start;
             // Permanent skips: sold sellers and unsafe entries.
             while pos < end {
                 let s = self.slot[pos as usize];
-                if sold(s) {
-                    stats.pops += 1;
+                if (probe.sold)(s) {
                     stats.sold_discards += 1;
-                    pos += 1;
-                    continue;
-                }
-                if !safe(amount, s) {
-                    stats.pops += 1;
+                } else if !(probe.safe)(amount, s) {
                     stats.unsafe_discards += 1;
-                    pos += 1;
-                    continue;
+                } else {
+                    break;
                 }
-                break;
+                stats.pops += 1;
+                pos += 1;
             }
-            *cursor = pos;
+            if pos != start {
+                cur.pos[lane as usize] = pos;
+                self.repair(cur, lane, stats);
+            }
             if pos >= end {
-                continue;
+                return;
             }
-            let denom = amount.min(remaining) as f64;
+            let denom = amount.min(probe.remaining) as f64;
             let key = self.price[pos as usize] / denom;
+            if key.total_cmp(&probe.min_key).is_ne() {
+                return;
+            }
             let mut lane_best = Pick {
-                lane: lane as u32,
+                lane,
                 pos,
                 key,
                 slot: self.slot[pos as usize],
@@ -318,63 +552,67 @@ impl BidArena {
                 cand: self.cand[pos as usize],
                 amount,
             };
-            self.resolve_key_collisions(&mut lane_best, end, denom, &sold, |s| safe(amount, s));
-            let better = match &best {
-                None => true,
-                Some(b) => lane_best
-                    .key
-                    .total_cmp(&b.key)
-                    .then_with(|| lane_best.slot.cmp(&b.slot))
-                    .then_with(|| lane_best.bid.cmp(&b.bid))
-                    .is_lt(),
-            };
-            if better {
-                best = Some(lane_best);
+            self.resolve_key_collisions(&mut lane_best, end, denom, probe.sold, |s| {
+                (probe.safe)(amount, s)
+            });
+            if best.is_none_or(|b| (lane_best.slot, lane_best.bid) < (b.slot, b.bid)) {
+                *best = Some(lane_best);
+            }
+            return;
+        }
+        let holder = cur.tree[node].min[order];
+        let may_tie = order == PRICE || cur.tree[node].unit_tie;
+        for child in [2 * node, 2 * node + 1] {
+            let lane = cur.tree[child].min[order];
+            // The child holding the node's argmin reaches the key by
+            // definition; the other child is read unless the node proves
+            // it cannot tie.
+            if lane != NONE
+                && (lane == holder
+                    || may_tie
+                        && self
+                            .key(cur, lane, order, probe.remaining, stats)
+                            .total_cmp(&probe.min_key)
+                            .is_eq())
+            {
+                self.visit_ties(cur, child, order, probe, stats, best);
             }
         }
-        if best.is_some() {
-            stats.pops += 1;
-        }
-        best
     }
 
-    /// Rare-path exactness: if a *different* price later in the lane
-    /// divides to the same f64 key, the heap would tie-break on
-    /// `(seller, id)` across the colliding prices — scan those runs for
-    /// the true minimum. The first binary search + one division decide
-    /// "no collision" (the overwhelmingly common case) in O(log n).
+    /// Exactness under rounding: if a *different* price later in the
+    /// lane divides to the same f64 key, the scan oracle would tie-break
+    /// on `(seller, id)` across the colliding prices — scan those runs
+    /// for the true minimum. One read and one division decide "no
+    /// collision" (the overwhelmingly common case).
     fn resolve_key_collisions(
         &self,
         lane_best: &mut Pick,
         end: u32,
         denom: f64,
-        sold: &impl Fn(u32) -> bool,
+        sold: impl Fn(u32) -> bool,
         safe: impl Fn(u32) -> bool,
     ) {
         let mut run_start = lane_best.pos;
         loop {
-            let run_bits = self.price[run_start as usize].to_bits();
-            let range = &self.price[run_start as usize..end as usize];
-            let next = run_start + range.partition_point(|p| p.to_bits() == run_bits) as u32;
-            if next >= end {
-                return;
-            }
-            let key2 = self.price[next as usize] / denom;
-            if key2.total_cmp(&lane_best.key).is_ne() {
+            let next = self.run_end(run_start, end);
+            if next >= end
+                || (self.price[next as usize] / denom)
+                    .total_cmp(&lane_best.key)
+                    .is_ne()
+            {
                 return;
             }
             // Colliding run: its first *valid* entry is its (seller, id)
-            // minimum among valid entries only if we walk in order.
+            // minimum among valid entries, as the run is sorted so.
             let next_bits = self.price[next as usize].to_bits();
             let mut t = next;
             while t < end && self.price[t as usize].to_bits() == next_bits {
                 let s = self.slot[t as usize];
                 if !sold(s) && safe(s) {
-                    if (self.slot[t as usize], self.bid[t as usize])
-                        < (lane_best.slot, lane_best.bid)
-                    {
+                    if (s, self.bid[t as usize]) < (lane_best.slot, lane_best.bid) {
                         lane_best.pos = t;
-                        lane_best.slot = self.slot[t as usize];
+                        lane_best.slot = s;
                         lane_best.bid = self.bid[t as usize];
                         lane_best.cand = self.cand[t as usize];
                     }
@@ -385,46 +623,24 @@ impl BidArena {
             run_start = next;
         }
     }
-}
 
-/// Sorts every lane's range by `(price, seller, id)`; shards sort in
-/// parallel when the pool allows (the comparator is total and keys are
-/// unique, so thread count cannot change the result).
-fn sort_shards(entries: &mut [BuildEntry], lane_start: &[u32], shards: usize, n_classes: usize) {
-    let sort_shard = |chunk: &mut [BuildEntry], shard: usize, base: u32| {
-        for class in 0..n_classes {
-            let lane = shard * n_classes + class;
-            let lo = (lane_start[lane] - base) as usize;
-            let hi = (lane_start[lane + 1] - base) as usize;
-            chunk[lo..hi].sort_unstable();
+    /// The first position after `at` whose price differs from `at`'s:
+    /// one read when the next price differs, else a gallop over the
+    /// equal-price run and a binary search inside the last stride.
+    fn run_end(&self, at: u32, end: u32) -> u32 {
+        let bits = self.price[at as usize].to_bits();
+        let mut known = at;
+        let mut stride = 1u32;
+        loop {
+            let probe = known.saturating_add(stride).min(end);
+            if probe >= end || self.price[probe as usize].to_bits() != bits {
+                let run = &self.price[known as usize + 1..probe as usize];
+                return known + 1 + run.partition_point(|p| p.to_bits() == bits) as u32;
+            }
+            known = probe;
+            stride = stride.saturating_mul(2);
         }
-    };
-    if shards <= 1 || crate::pricing::current_pricing_threads() <= 1 {
-        for shard in 0..shards {
-            let base = 0;
-            sort_shard(entries, shard, base);
-        }
-        return;
     }
-    // Split the columns at shard boundaries; each chunk is one shard's
-    // contiguous lane block.
-    let mut chunks: Vec<(usize, u32, &mut [BuildEntry])> = Vec::with_capacity(shards);
-    let mut rest = entries;
-    let mut consumed = 0u32;
-    for shard in 0..shards {
-        let shard_end = lane_start[(shard + 1) * n_classes];
-        let take = (shard_end - consumed) as usize;
-        let (chunk, tail) = rest.split_at_mut(take);
-        chunks.push((shard, consumed, chunk));
-        consumed = shard_end;
-        rest = tail;
-    }
-    crossbeam::scope(|scope| {
-        for (shard, base, chunk) in chunks {
-            scope.spawn(move |_| sort_shard(chunk, shard, base));
-        }
-    })
-    .expect("shard sort scope panicked");
 }
 
 #[cfg(test)]
@@ -468,11 +684,11 @@ mod tests {
         ];
         let refs: Vec<&Bid> = bids.iter().collect();
         let table = table_of(&bids);
-        let arena = BidArena::build(&refs, &table, 1, 64).unwrap();
-        let mut cursors = arena.initial_cursors();
-        let mut stats = HeapStats::default();
+        let arena = BidArena::build(&refs, &table);
+        let mut cur = arena.initial_cursors();
+        let mut stats = ArgminStats::default();
         let pick = arena
-            .pop_best(&mut cursors, 7, &mut stats, |_| false, |_, _| true)
+            .pop_best(&mut cur, 7, &mut stats, |_| false, |_, _| true)
             .unwrap();
         assert_eq!(table.id_of(pick.slot), MicroserviceId::new(1));
         assert_eq!(pick.key, 2.0);
@@ -480,41 +696,15 @@ mod tests {
     }
 
     #[test]
-    fn sharding_does_not_change_pop_order() {
-        let bids: Vec<Bid> = (0..40)
-            .map(|s| bid(s, 0, 1 + (s as u64 % 3), 1.0 + (s as f64 * 7.0) % 13.0))
+    fn run_end_gallops_over_equal_prices() {
+        let bids: Vec<Bid> = (0..50)
+            .map(|s| bid(s, 0, 1, if s < 37 { 2.0 } else { 3.0 }))
             .collect();
         let refs: Vec<&Bid> = bids.iter().collect();
-        let table = table_of(&bids);
-        let pops_at = |shards: usize| {
-            let arena = BidArena::build(&refs, &table, shards, 64).unwrap();
-            let mut cursors = arena.initial_cursors();
-            let mut stats = HeapStats::default();
-            let mut sold = vec![false; table.len()];
-            let mut order = Vec::new();
-            while let Some(p) = arena.pop_best(
-                &mut cursors,
-                100,
-                &mut stats,
-                |s| sold[s as usize],
-                |_, _| true,
-            ) {
-                sold[p.slot as usize] = true;
-                arena.consume(&mut cursors, &p);
-                order.push((p.slot, p.bid));
-            }
-            order
-        };
-        assert_eq!(pops_at(1), pops_at(4));
-        assert_eq!(pops_at(1).len(), 40);
-    }
-
-    #[test]
-    fn class_cap_refuses_wide_instances() {
-        let bids: Vec<Bid> = (0..10).map(|s| bid(s, 0, 1 + s as u64, 5.0)).collect();
-        let refs: Vec<&Bid> = bids.iter().collect();
-        let table = table_of(&bids);
-        assert!(BidArena::build(&refs, &table, 1, 4).is_none());
-        assert!(BidArena::build(&refs, &table, 1, 64).is_some());
+        let arena = BidArena::build(&refs, &table_of(&bids));
+        assert_eq!(arena.run_end(0, 50), 37);
+        assert_eq!(arena.run_end(36, 50), 37);
+        assert_eq!(arena.run_end(37, 50), 50);
+        assert_eq!(arena.run_end(49, 50), 50);
     }
 }

@@ -109,10 +109,10 @@ pub use multi_buyer::{
 pub use offline::{offline_optimum_multi, offline_optimum_round, per_round_dp_bound, OfflineBound};
 pub use pricing::{
     available_pricing_threads, current_pricing_threads, pricing_threads_setting,
-    set_pricing_threads, set_shards, shards_setting,
+    set_pricing_threads,
 };
 #[doc(hidden)]
-pub use pricing::{lane_class_cap, replay_batch_setting, set_lane_class_cap, set_replay_batch};
+pub use pricing::{replay_batch_setting, set_replay_batch};
 pub use properties::{
     audit_truthfulness, break_even_unit_charge, check_critical_payments,
     check_individual_rationality, check_monotonicity, economic_loss, TruthfulnessViolation,
@@ -126,7 +126,7 @@ pub use service::{
     ServiceError, ServiceEvent, StageSummary, LOG_VERSION,
 };
 pub use ssam::{
-    run_ssam, run_ssam_traced, CriticalSource, HeapStats, RatioCertificate, SsamConfig,
+    run_ssam, run_ssam_traced, ArgminStats, CriticalSource, RatioCertificate, SsamConfig,
     SsamOutcome, SsamStats, WinningBid,
 };
 pub use variants::{run_variant, transform_instance, MsoaVariant};

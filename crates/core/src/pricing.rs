@@ -10,14 +10,13 @@
 //! the sequential path. One thread (the default) takes the exact
 //! sequential code path with no spawning at all.
 //!
-//! The pool size, the winner-selection shard count, and the replay batch
-//! size are ambient process state, mirroring `edge_bench::parallel`:
-//! benchmarks and the CLI set them once (`--pricing-threads`,
-//! `--shards`), and every auction in the process picks them up. None of
-//! them may observably change an outcome or a trace — they are tuning
-//! knobs, not configuration, which is also why they are *not* part of
-//! [`crate::ssam::SsamConfig`] (whose serialized form is folded into
-//! event-log header digests).
+//! The pool size and the replay batch size are ambient process state,
+//! mirroring `edge_bench::parallel`: benchmarks and the CLI set the pool
+//! once (`--pricing-threads`), and every auction in the process picks it
+//! up. Neither may observably change an outcome or a trace — they are
+//! tuning knobs, not configuration, which is also why they are *not*
+//! part of [`crate::ssam::SsamConfig`] (whose serialized form is folded
+//! into event-log header digests).
 //!
 //! # Adaptive sizing (`--pricing-threads 0`)
 //!
@@ -43,10 +42,6 @@ use std::sync::OnceLock;
 /// parallelism explicitly.
 static PRICING_THREADS: AtomicUsize = AtomicUsize::new(1);
 
-/// Configured winner-selection shards; `0` means "auto-detect at use".
-/// Defaults to `1` — one shard, the unsharded arena.
-static SHARDS: AtomicUsize = AtomicUsize::new(1);
-
 /// Replay batch size; `0` means "auto-size from the winner count and
 /// pool", `1` prices every winner in its own batch (the differential
 /// oracle's configuration).
@@ -55,12 +50,6 @@ static REPLAY_BATCH: AtomicUsize = AtomicUsize::new(0);
 /// EMA of the observed cost of one payment replay, nanoseconds.
 /// `0` = no observation yet (cold process).
 static REPLAY_EMA_NS: AtomicU64 = AtomicU64::new(0);
-
-/// Max distinct amount classes the SoA lane arena will take on; wider
-/// instances fall back to the lazy-deletion heap. `0` disables the
-/// arena entirely (the differential suite uses it to force the legacy
-/// engine).
-static LANE_CLASS_CAP: AtomicUsize = AtomicUsize::new(64);
 
 /// Per-replay cost assumed before the first measurement. Deliberately
 /// small: a cold process under-threads rather than over-threads.
@@ -99,33 +88,6 @@ pub fn current_pricing_threads() -> usize {
     }
 }
 
-/// Sets the winner-selection shard count for subsequent auctions.
-/// `0` auto-detects from the available parallelism; `1` (the default)
-/// keeps a single shard. Sharding is outcome-neutral by construction:
-/// shards only partition the bid arena's lanes, and the greedy merge
-/// compares all lane heads globally, so any shard count produces
-/// byte-identical outcomes and traces.
-pub fn set_shards(shards: usize) {
-    SHARDS.store(shards, Ordering::Relaxed);
-}
-
-/// The raw configured shard count (`0` = auto), as last set.
-pub fn shards_setting() -> usize {
-    SHARDS.load(Ordering::Relaxed)
-}
-
-/// The shard count a selection over `n_sellers` will actually use:
-/// the setting (auto → detected parallelism), capped so every shard
-/// holds a useful number of sellers and the lane table stays small.
-/// Collapses to 1 — the unsharded path — for small instances.
-pub(crate) fn effective_shards(n_sellers: usize) -> usize {
-    let k = match SHARDS.load(Ordering::Relaxed) {
-        0 => available_pricing_threads(),
-        n => n,
-    };
-    k.clamp(1, 64).min(n_sellers.max(1))
-}
-
 /// Sets the replay batch size. `0` (default) auto-sizes; `1` forces
 /// one winner per batch — the per-winner oracle the differential suite
 /// compares batched pricing against. Batching is outcome-neutral:
@@ -139,22 +101,6 @@ pub fn set_replay_batch(batch: usize) {
 #[doc(hidden)]
 pub fn replay_batch_setting() -> usize {
     REPLAY_BATCH.load(Ordering::Relaxed)
-}
-
-/// Sets the lane-class cap: the maximum number of distinct bid amounts
-/// the SoA arena will lane-partition before falling back to the heap
-/// engine. `0` forces the heap engine for every instance. Engine choice
-/// is outcome-neutral (both compute the same argmin; the differential
-/// suite pins them bit-for-bit), so this is a tuning/testing knob.
-#[doc(hidden)]
-pub fn set_lane_class_cap(cap: usize) {
-    LANE_CLASS_CAP.store(cap, Ordering::Relaxed);
-}
-
-/// The current lane-class cap (`0` = arena disabled).
-#[doc(hidden)]
-pub fn lane_class_cap() -> usize {
-    LANE_CLASS_CAP.load(Ordering::Relaxed)
 }
 
 /// The batch size to use for `winners` replays on a pool of `threads`.
@@ -367,20 +313,6 @@ mod tests {
         // Explicit settings are never second-guessed.
         assert_eq!(pool_size(100, 1), 3);
         set_pricing_threads(prev);
-    }
-
-    #[test]
-    fn shard_setting_round_trips_and_collapses() {
-        let prev = shards_setting();
-        set_shards(4);
-        assert_eq!(shards_setting(), 4);
-        assert_eq!(effective_shards(1_000_000), 4);
-        // Fewer sellers than shards: collapse to one per seller.
-        assert_eq!(effective_shards(2), 2);
-        assert_eq!(effective_shards(0), 1);
-        set_shards(1);
-        assert_eq!(effective_shards(1_000_000), 1);
-        set_shards(prev);
     }
 
     #[test]

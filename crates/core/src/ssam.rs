@@ -161,33 +161,31 @@ pub struct CriticalSource {
     pub contribution: u64,
 }
 
-/// Lazy-deletion heap traffic accumulated over a greedy run and its
-/// payment replays; surfaced as the `ssam.stats` trace event.
+/// Argmin traffic accumulated over a greedy run and its payment
+/// replays: the `ssam.stats` scan count and the `ssam.engine` profile
+/// entry.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct HeapStats {
-    /// Entries popped from the heap.
+pub struct ArgminStats {
+    /// Entries examined: returned picks plus discarded dead heads.
     pub pops: u64,
-    /// Stale entries re-pushed with a recomputed key.
-    pub repushes: u64,
     /// Entries discarded because their seller had already sold.
     pub sold_discards: u64,
     /// Entries discarded permanently as unsafe.
     pub unsafe_discards: u64,
-    /// Argmin queries answered (`pop_best` / `pop_best_safe` calls).
-    /// Both engines issue exactly one per greedy iteration, so this is
-    /// engine-, shard-, batch-, and thread-invariant — it may sit in
-    /// the deterministic trace section.
+    /// Argmin queries answered (`pop_best` calls): exactly one per
+    /// greedy iteration, so this is batch- and thread-invariant — it may
+    /// sit in the deterministic trace section.
     pub scans: u64,
-    /// Lane heads examined across those scans (arena engine only:
-    /// `lanes` per query). Grows with the shard count — profile-section
-    /// data, never deterministic.
+    /// Lane-head ranks computed by those queries and the tree repairs
+    /// behind them, O(log lanes) per query. Depends on when dead heads
+    /// surface, which differs between a replay and the run it forked
+    /// from — profile-section data, never deterministic.
     pub head_reads: u64,
 }
 
-impl HeapStats {
-    fn absorb(&mut self, other: HeapStats) {
+impl ArgminStats {
+    fn absorb(&mut self, other: ArgminStats) {
         self.pops += other.pops;
-        self.repushes += other.repushes;
         self.sold_discards += other.sold_discards;
         self.unsafe_discards += other.unsafe_discards;
         self.scans += other.scans;
@@ -195,19 +193,19 @@ impl HeapStats {
     }
 }
 
-/// Work counters for one single-stage auction: the heap traffic plus the
+/// Work counters for one single-stage auction: the argmin traffic plus the
 /// payment phase's replay accounting. `payment_replays` counts one
 /// replay per winner; `replay_iterations` counts every iteration those
 /// replays advanced through, of which `prefix_iterations` were served in
-/// O(1) from the real run's shared prefix instead of heap work — the
+/// O(1) from the real run's shared prefix instead of argmin work — the
 /// ratio makes the shared-prefix speedup auditable from a trace
 /// (surfaced as the `ssam.stats` event and by `edge-market explain`).
 /// All counts are deterministic and independent of the pricing pool
 /// size.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SsamStats {
-    /// Lazy-deletion heap traffic (selection plus replay suffixes).
-    pub heap: HeapStats,
+    /// Argmin traffic (selection plus replay suffixes).
+    pub argmin: ArgminStats,
     /// Payment replays performed (one per winner).
     pub payment_replays: u64,
     /// Total replay iterations across all payment replays.
@@ -225,6 +223,43 @@ fn contribution(amount: u64, remaining: u64) -> u64 {
 /// Greedy key: price per unit of marginal contribution.
 fn ratio(price: Price, amount: u64, remaining: u64) -> f64 {
     price.value() / contribution(amount, remaining) as f64
+}
+
+/// Candidate set 𝔽^t: all bids, filtered by the reserve if present.
+fn reserve_filtered<'a>(
+    instance: &'a WspInstance,
+    config: &SsamConfig,
+) -> Vec<&'a crate::bid::Bid> {
+    instance
+        .bids()
+        .filter(|b| {
+            config
+                .reserve_unit_price
+                .is_none_or(|r| b.unit_price() <= r)
+        })
+        .collect()
+}
+
+/// Feasibility under the filter: every candidate seller's best offer,
+/// or [`AuctionError::InfeasibleDemand`] when together they cannot
+/// cover the demand.
+fn seller_best(
+    instance: &WspInstance,
+    candidates: &[&crate::bid::Bid],
+) -> Result<std::collections::BTreeMap<MicroserviceId, u64>, AuctionError> {
+    let mut best = std::collections::BTreeMap::new();
+    for b in candidates {
+        let e = best.entry(b.seller).or_insert(0u64);
+        *e = (*e).max(b.amount);
+    }
+    let supply: u64 = best.values().sum();
+    if supply < instance.demand() {
+        return Err(AuctionError::InfeasibleDemand {
+            demand: instance.demand(),
+            supply,
+        });
+    }
+    Ok(best)
 }
 
 /// Runs Algorithm 1 on a validated instance.
@@ -254,14 +289,7 @@ pub fn run_ssam_traced(
     trace: Trace<'_>,
 ) -> Result<SsamOutcome, AuctionError> {
     let _ssam_span = edge_telemetry::spans::enter("ssam");
-    // Candidate set 𝔽^t: all bids, filtered by the reserve if present.
-    let candidates: Vec<&crate::bid::Bid> = instance
-        .bids()
-        .filter(|b| match config.reserve_unit_price {
-            Some(r) => b.unit_price() <= r,
-            None => true,
-        })
-        .collect();
+    let candidates = reserve_filtered(instance, config);
 
     trace.emit_with(Level::Info, "ssam.start", || {
         vec![
@@ -292,82 +320,42 @@ pub fn run_ssam_traced(
         }
     }
 
-    // Feasibility under the filter.
-    let mut per_seller_best: std::collections::BTreeMap<MicroserviceId, u64> =
-        std::collections::BTreeMap::new();
-    for b in &candidates {
-        let e = per_seller_best.entry(b.seller).or_insert(0);
-        *e = (*e).max(b.amount);
-    }
-    let supply: u64 = per_seller_best.values().sum();
-    if supply < instance.demand() {
-        return Err(AuctionError::InfeasibleDemand {
-            demand: instance.demand(),
-            supply,
-        });
-    }
+    let per_seller_best = seller_best(instance, &candidates)?;
 
-    // Winner selection runs on one of two engines computing the same
-    // argmin sequence (and therefore bit-identical selections, payments,
-    // and traces — the differential suite pins them to each other and to
-    // the scan oracle): the SoA lane arena (`crate::arena`), sharded by
-    // seller region, for instances whose distinct amounts fit the lane
-    // table; or the original lazy-deletion heap for arbitrarily wide
-    // instances. Wall-clock telemetry goes to the ambient selection
-    // counters, never into the trace.
+    // Winner selection: the SoA lane arena (`crate::arena`) answers each
+    // greedy argmin in O(log lanes); the differential suite pins its
+    // selections, payments, and traces to the scan oracle bit-for-bit.
+    // Wall-clock telemetry goes to the ambient selection counters, never
+    // into the trace.
     let demand = instance.demand();
     let mut stats = SsamStats::default();
     let selection_span = edge_telemetry::spans::enter("selection");
     let selection_start = std::time::Instant::now();
     let table = crate::arena::SellerTable::new(&per_seller_best);
-    let class_cap = crate::pricing::lane_class_cap();
     let arena = {
         let _build_span = edge_telemetry::spans::enter("arena.build");
-        if class_cap == 0 {
-            None
-        } else {
-            crate::arena::BidArena::build(
-                &candidates,
-                &table,
-                crate::pricing::effective_shards(table.len()),
-                class_cap,
-            )
-        }
+        crate::arena::BidArena::build(&candidates, &table)
     };
-    let lanes = arena.as_ref().map_or(0, |a| a.lanes());
+    let lanes = arena.lanes();
     if edge_telemetry::spans::is_enabled() {
         edge_telemetry::spans::diag("lanes", lanes as u64);
         edge_telemetry::spans::lane_gauges(lanes as u64, candidates.len() as u64);
     }
-    let mut merge_ns = 0u64;
-    let (selection, snapshots) = {
+    let (selection, snapshots, merge_ns) = {
         let _merge_span = edge_telemetry::spans::enter("merge");
-        match &arena {
-            Some(a) => {
-                let merge_start = std::time::Instant::now();
-                let (sel, snaps) =
-                    greedy_select_arena(a, &table, &candidates, demand, &mut stats.heap);
-                merge_ns = merge_start.elapsed().as_nanos() as u64;
-                (sel, Some(snaps))
-            }
-            None => (
-                greedy_select(candidates.clone(), demand, &mut stats.heap),
-                None,
-            ),
-        }
+        let merge_start = std::time::Instant::now();
+        let (sel, snaps) = greedy_select(&arena, &table, &candidates, demand, &mut stats.argmin);
+        (sel, snaps, merge_start.elapsed().as_nanos() as u64)
     };
     edge_telemetry::selection::record(selection_start.elapsed().as_nanos() as u64, merge_ns);
     // Selection-side work counters on the `selection` span. Scans and
     // snapshot counts are position-determined (knob-invariant); lane
-    // head reads grow with the shard count, so they are diagnostics.
-    let (selection_scans, selection_reads) = (stats.heap.scans, stats.heap.head_reads);
+    // head reads are engine diagnostics.
+    let (selection_scans, selection_reads) = (stats.argmin.scans, stats.argmin.head_reads);
     if edge_telemetry::spans::is_enabled() {
         edge_telemetry::spans::ctr("winners", selection.len() as u64);
         edge_telemetry::spans::ctr("pop_best_scans", selection_scans);
-        edge_telemetry::spans::ctr(
-            "snapshots",
-            snapshots.as_ref().map_or(0, |s| s.len()) as u64,
-        );
+        edge_telemetry::spans::ctr("snapshots", snapshots.len() as u64);
         edge_telemetry::spans::diag("lane_head_reads", selection_reads);
     }
     drop(selection_span);
@@ -403,7 +391,7 @@ pub fn run_ssam_traced(
     // Two optimizations, neither observable in the outcome (DESIGN.md
     // §11): the iterations before `i`'s selection position are answered
     // in O(1) each from a precomputed snapshot of the real run
-    // ([`PrefixStep`]) instead of heap replays, and the per-winner
+    // ([`PrefixStep`]) instead of argmin work, and the per-winner
     // replays — mutually independent — fan out over the configured
     // pricing pool. Workers only compute; trace emission, stats
     // absorption, and outcome assembly all happen below, on this
@@ -413,25 +401,16 @@ pub fn run_ssam_traced(
     let pricing_start = std::time::Instant::now();
     let (prefix, position) = {
         let _prefix_span = edge_telemetry::spans::enter("prefix.build");
-        build_prefix(&selection, demand, supply, &per_seller_best)
+        build_prefix(&selection, demand, &table)
     };
     let replays: Vec<ReplayOutcome> = {
         let _replay_span = edge_telemetry::spans::enter("replays");
-        match (&arena, &snapshots) {
-            (Some(a), Some(snaps)) => {
-                batched_replays(a, &table, &selection, &prefix, &position, snaps)
-            }
-            _ => crate::pricing::fan_out(selection.len(), |p| {
-                let (winner, _) = &selection[p];
-                let phantom = per_seller_best.get(&winner.seller).copied().unwrap_or(0);
-                replay_payment(&candidates, &prefix, &position, p, winner, phantom)
-            }),
-        }
+        batched_replays(&arena, &table, &selection, &prefix, &position, &snapshots)
     };
 
     let mut winners: Vec<WinningBid> = Vec::with_capacity(selection.len());
     for ((winner, c), replay) in selection.iter().zip(replays) {
-        stats.heap.absorb(replay.heap);
+        stats.argmin.absorb(replay.argmin);
         stats.payment_replays += 1;
         stats.replay_iterations += replay.iterations;
         stats.prefix_iterations += replay.prefix_iterations;
@@ -499,14 +478,14 @@ pub fn run_ssam_traced(
     );
     crate::pricing::note_pricing_phase(stats.payment_replays, pricing_ns);
     // Pricing-side counters: replay totals and argmin scans (both
-    // knob-invariant) on the deterministic side; lane head reads (the
-    // per-shard scan width the ROADMAP flags) on the profile side.
+    // knob-invariant) on the deterministic side; lane head reads on the
+    // profile side.
     if edge_telemetry::spans::is_enabled() {
         edge_telemetry::spans::ctr("replays", stats.payment_replays);
         edge_telemetry::spans::ctr("replay_iterations", stats.replay_iterations);
         edge_telemetry::spans::ctr("prefix_iterations", stats.prefix_iterations);
-        edge_telemetry::spans::ctr("pop_best_scans", stats.heap.scans - selection_scans);
-        edge_telemetry::spans::diag("lane_head_reads", stats.heap.head_reads - selection_reads);
+        edge_telemetry::spans::ctr("pop_best_scans", stats.argmin.scans - selection_scans);
+        edge_telemetry::spans::diag("lane_head_reads", stats.argmin.head_reads - selection_reads);
     }
     drop(pricing_span);
 
@@ -515,10 +494,10 @@ pub fn run_ssam_traced(
     let certificate = build_certificate(&winners, demand, social_cost);
 
     // The deterministic `ssam.stats` event carries only knob-invariant
-    // counters (proven identical across engines, shard counts, batch
-    // sizes, and thread pools by the differential suite — which now
-    // byte-compares full traces). The engine-dependent heap/lane
-    // traffic moves to the `ssam.engine` profile entry below.
+    // counters (proven identical across batch sizes and thread pools by
+    // the differential suite, which byte-compares full traces). Discard
+    // and lane-head traffic depends on when dead heads surface, so it
+    // goes to the `ssam.engine` profile entry below.
     trace.emit_with(Level::Debug, "ssam.stats", || {
         vec![
             ("payment_replays", Value::from(stats.payment_replays)),
@@ -527,21 +506,16 @@ pub fn run_ssam_traced(
                 "replay_prefix_iterations",
                 Value::from(stats.prefix_iterations),
             ),
-            ("pop_best_scans", Value::from(stats.heap.scans)),
+            ("pop_best_scans", Value::from(stats.argmin.scans)),
         ]
     });
     trace.profile_with("ssam.engine", || {
         vec![
-            (
-                "engine",
-                Value::from(if arena.is_some() { "arena" } else { "heap" }),
-            ),
             ("lanes", Value::from(lanes)),
-            ("heap_pops", Value::from(stats.heap.pops)),
-            ("heap_repushes", Value::from(stats.heap.repushes)),
-            ("sold_discards", Value::from(stats.heap.sold_discards)),
-            ("unsafe_discards", Value::from(stats.heap.unsafe_discards)),
-            ("lane_head_reads", Value::from(stats.heap.head_reads)),
+            ("pops", Value::from(stats.argmin.pops)),
+            ("sold_discards", Value::from(stats.argmin.sold_discards)),
+            ("unsafe_discards", Value::from(stats.argmin.unsafe_discards)),
+            ("lane_head_reads", Value::from(stats.argmin.head_reads)),
         ]
     });
     trace.emit_with(Level::Info, "ssam.end", || {
@@ -564,53 +538,20 @@ pub fn run_ssam_traced(
     })
 }
 
-/// One slot in the lazy-deletion heap: a candidate bid with the greedy
-/// key it had when (re-)pushed and the generation at which that key was
-/// computed. Stale slots (older generation) are detected at pop time and
-/// re-pushed with a recomputed key; slots of sold sellers are discarded.
-#[derive(Debug, Clone, Copy)]
-struct HeapEntry {
-    /// `∇/U` at push time — a lower bound on the current key, because
-    /// keys only grow as `remaining` shrinks (see [`HeapGreedy`]).
-    key: f64,
-    /// Generation (number of completed sales) the key was computed at.
-    gen: u64,
-    seller: MicroserviceId,
-    id: BidId,
-    /// Index into [`HeapGreedy::bids`].
-    idx: usize,
-}
+/// Cursor snapshots are taken every this many selections; a payment
+/// replay forks from the latest snapshot at or before its winner's
+/// position. The stride trades snapshot memory (`W/16` copies of the
+/// lane cursors and their argmin tree) against at most 15 extra
+/// query-time skips per replay. Crucially the snapshot a replay forks
+/// from depends only on its winner's *position*
+/// — never on how replays are batched over workers — so batch size
+/// cannot change traces or stats.
+const SNAPSHOT_STRIDE: usize = 16;
 
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-
-impl Eq for HeapEntry {}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapEntry {
-    /// Reversed so `BinaryHeap` (a max-heap) pops the *minimum* of
-    /// `(key, seller, id)` — the reference scan's exact tie-break, so
-    /// heap and scan pick bit-identical winners.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .key
-            .total_cmp(&self.key)
-            .then_with(|| other.seller.cmp(&self.seller))
-            .then_with(|| other.id.cmp(&self.id))
-    }
-}
-
-/// Shared state of a greedy run: remaining demand, the max offer of
-/// every still-unsold seller (for the feasibility "safety" filter), and
-/// a lazy-deletion min-heap over the candidate bids keyed by `∇/U`.
+/// The greedy winner selection of Algorithm 1 (lines 3–12): repeatedly
+/// accept the safe bid minimizing `∇/U`, then drop the winner's other
+/// bids. Returns `(bid, contribution)` pairs in selection order, plus
+/// periodic cursor snapshots for the payment replays to fork from.
 ///
 /// A bid is *safe* iff selecting it leaves the residual demand coverable
 /// by the other unsold sellers' best offers. Every seller's max-amount
@@ -618,171 +559,19 @@ impl Ord for HeapEntry {
 /// holds, so a safe candidate always exists and the greedy never strands
 /// demand — a necessary strengthening of the paper's line 4 (picking a
 /// seller's small cheap bid when feasibility depended on its large bid
-/// would otherwise dead-end).
-///
-/// Two monotonicity facts make the lazy heap sound (proved in
-/// `DESIGN.md`):
-///
-/// * **Keys only grow.** `∇/U = price / min(amount, remaining)` is
-///   nondecreasing as `remaining` shrinks, so a stored key is always a
-///   lower bound on the current key and a popped entry whose key is
-///   still current is the true minimum.
-/// * **Once unsafe, always unsafe.** Safety is `amount ≥ remaining −
-///   rest_supply`, and `remaining − rest_supply(seller)` never
-///   decreases across sales (each sale removes at least as much supply
-///   as demand). An unsafe pop can therefore be dropped permanently
-///   instead of re-scanned every iteration.
-#[derive(Debug)]
-struct HeapGreedy<'a> {
-    bids: Vec<&'a crate::bid::Bid>,
-    heap: std::collections::BinaryHeap<HeapEntry>,
-    remaining: u64,
-    seller_max: std::collections::BTreeMap<MicroserviceId, u64>,
-    total_max: u64,
-    /// A "phantom" seller counted in the supply but excluded from
-    /// selection — used when replaying a run without one seller to keep
-    /// the replay's safety decisions identical to the real run's.
-    phantom: u64,
-    /// Completed sales; bumps invalidate stored heap keys.
-    gen: u64,
-    /// Heap-traffic counters (cheap unconditional increments; only
-    /// surfaced when tracing).
-    stats: HeapStats,
-}
-
-impl<'a> HeapGreedy<'a> {
-    fn new(bids: Vec<&'a crate::bid::Bid>, demand: u64, phantom: u64) -> Self {
-        let mut seller_max = std::collections::BTreeMap::new();
-        for b in &bids {
-            let e = seller_max.entry(b.seller).or_insert(0u64);
-            *e = (*e).max(b.amount);
-        }
-        let total_max = seller_max.values().sum::<u64>() + phantom;
-        let entries: Vec<HeapEntry> = bids
-            .iter()
-            .enumerate()
-            .map(|(idx, b)| HeapEntry {
-                key: ratio(b.price, b.amount, demand),
-                gen: 0,
-                seller: b.seller,
-                id: b.id,
-                idx,
-            })
-            .collect();
-        HeapGreedy {
-            bids,
-            heap: std::collections::BinaryHeap::from(entries),
-            remaining: demand,
-            seller_max,
-            total_max,
-            phantom,
-            gen: 0,
-            stats: HeapStats::default(),
-        }
-    }
-
-    /// Supply of unsold sellers other than `seller` (phantom included).
-    fn rest_supply(&self, seller: MicroserviceId) -> u64 {
-        self.total_max - self.seller_max.get(&seller).copied().unwrap_or(0)
-    }
-
-    fn is_safe(&self, b: &crate::bid::Bid) -> bool {
-        contribution(b.amount, self.remaining) + self.rest_supply(b.seller) >= self.remaining
-    }
-
-    /// Whether the phantom seller could safely win `amount` units here.
-    fn phantom_safe(&self, amount: u64) -> bool {
-        contribution(amount, self.remaining) + (self.total_max - self.phantom) >= self.remaining
-    }
-
-    /// The safe bid minimizing `∇/U` — pop-validate loop of the lazy
-    /// heap. Each pop either settles a bid for good (winner, sold-seller
-    /// discard, or permanent unsafe discard) or re-pushes it with a
-    /// recomputed key; a bid is re-pushed at most once per generation.
-    fn pop_best_safe(&mut self) -> Option<&'a crate::bid::Bid> {
-        self.stats.scans += 1;
-        while let Some(entry) = self.heap.pop() {
-            self.stats.pops += 1;
-            if !self.seller_max.contains_key(&entry.seller) {
-                self.stats.sold_discards += 1;
-                continue; // seller already sold — lazily deleted
-            }
-            let bid = self.bids[entry.idx];
-            if entry.gen != self.gen {
-                let key = ratio(bid.price, bid.amount, self.remaining);
-                if key.total_cmp(&entry.key).is_ne() {
-                    self.stats.repushes += 1;
-                    self.heap.push(HeapEntry {
-                        key,
-                        gen: self.gen,
-                        ..entry
-                    });
-                    continue;
-                }
-            }
-            if !self.is_safe(bid) {
-                self.stats.unsafe_discards += 1;
-                continue; // once unsafe, always unsafe — drop permanently
-            }
-            return Some(bid);
-        }
-        None
-    }
-
-    /// Accepts a bid: consume demand, release the seller's supply entry
-    /// (its other bids die lazily in the heap), invalidate stored keys.
-    fn sell(&mut self, winner: &crate::bid::Bid) -> u64 {
-        let c = contribution(winner.amount, self.remaining);
-        self.remaining -= c;
-        self.total_max -= self.seller_max.remove(&winner.seller).unwrap_or(0);
-        self.gen += 1;
-        c
-    }
-}
-
-/// The greedy winner selection of Algorithm 1 (lines 3–12): repeatedly
-/// accept the safe bid minimizing `∇/U`, then drop the winner's other
-/// bids. Returns `(bid, contribution)` pairs in selection order.
+/// would otherwise dead-end). Safety is `amount ≥ remaining −
+/// rest_supply`, and that bound never decreases across sales (each sale
+/// removes at least as much supply as demand): once unsafe, always
+/// unsafe, which is what lets the arena drop an unsafe head for good.
 fn greedy_select(
-    candidates: Vec<&crate::bid::Bid>,
-    demand: u64,
-    stats: &mut HeapStats,
-) -> Vec<(crate::bid::Bid, u64)> {
-    let mut state = HeapGreedy::new(candidates, demand, 0);
-    let mut selection = Vec::new();
-    while state.remaining > 0 {
-        let winner = *state
-            .pop_best_safe()
-            .expect("a safe bid exists while the feasibility invariant holds");
-        let c = state.sell(&winner);
-        selection.push((winner, c));
-    }
-    stats.absorb(state.stats);
-    selection
-}
-
-/// Cursor snapshots are taken every this many selections; a payment
-/// replay forks from the latest snapshot at or before its winner's
-/// position. The stride trades snapshot memory (`W/16 × lanes` u32s)
-/// against at most 15 extra query-time skips per replay. Crucially the
-/// snapshot a replay forks from depends only on its winner's *position*
-/// — never on how replays are batched over workers — so batch size
-/// cannot change traces or stats.
-const SNAPSHOT_STRIDE: usize = 16;
-
-/// The greedy winner selection on the SoA lane arena — the same argmin
-/// sequence as [`greedy_select`] (both implement `pop_best_safe`'s
-/// functional contract), plus periodic cursor snapshots for the payment
-/// replays to fork from.
-fn greedy_select_arena(
     arena: &crate::arena::BidArena,
     table: &crate::arena::SellerTable,
     candidates: &[&crate::bid::Bid],
     demand: u64,
-    stats: &mut HeapStats,
-) -> (Vec<(crate::bid::Bid, u64)>, Vec<Vec<u32>>) {
+    stats: &mut ArgminStats,
+) -> (Vec<(crate::bid::Bid, u64)>, Vec<crate::arena::Cursors>) {
     let mut cursors = arena.initial_cursors();
-    let mut snapshots: Vec<Vec<u32>> = Vec::new();
+    let mut snapshots: Vec<crate::arena::Cursors> = Vec::new();
     let mut sold = vec![false; table.len()];
     let mut total_max = table.total_max();
     let mut remaining = demand;
@@ -806,7 +595,7 @@ fn greedy_select_arena(
         remaining -= c;
         total_max -= table.max_of(pick.slot);
         sold[pick.slot as usize] = true;
-        arena.consume(&mut cursors, &pick);
+        arena.consume(&mut cursors, &pick, stats);
         selection.push((winner, c));
     }
     (selection, snapshots)
@@ -825,16 +614,12 @@ fn batched_replays(
     table: &crate::arena::SellerTable,
     selection: &[(crate::bid::Bid, u64)],
     prefix: &[PrefixStep],
-    position: &std::collections::BTreeMap<MicroserviceId, usize>,
-    snapshots: &[Vec<u32>],
+    position_by_slot: &[u32],
+    snapshots: &[crate::arena::Cursors],
 ) -> Vec<ReplayOutcome> {
     let winners = selection.len();
     if winners == 0 {
         return Vec::new();
-    }
-    let mut position_by_slot = vec![u32::MAX; table.len()];
-    for (s, &p) in position {
-        position_by_slot[table.slot_of(*s) as usize] = p as u32;
     }
     let batch =
         crate::pricing::effective_replay_batch(winners, crate::pricing::current_pricing_threads());
@@ -855,12 +640,12 @@ fn batched_replays(
                 .map(|p| {
                     let (winner, _) = &selection[p];
                     let w_slot = table.slot_of(winner.seller);
-                    work.copy_from_slice(&snapshots[p / SNAPSHOT_STRIDE]);
-                    replay_payment_arena(
+                    work.copy_from(&snapshots[p / SNAPSHOT_STRIDE]);
+                    replay_payment(
                         arena,
                         table,
                         prefix,
-                        &position_by_slot,
+                        position_by_slot,
                         p,
                         w_slot,
                         winner.amount,
@@ -875,15 +660,29 @@ fn batched_replays(
     batched.into_iter().flatten().collect()
 }
 
-/// [`replay_payment`] on the arena: identical prefix arithmetic, and a
-/// suffix that forks from a selection-time cursor snapshot instead of
-/// rebuilding a heap. Sellers sold before position `p` (or the excluded
-/// winner, or sellers sold *within this replay* — marked via `epoch`)
-/// are skipped at query time, which is exactly the lazy-deletion heap's
-/// candidate set, so thresholds and [`CriticalSource`] provenance are
-/// bit-identical.
+/// The critical value of the winner at selection position `p`: the
+/// greedy run replayed without that seller (its best offer kept as
+/// phantom supply, so safety decisions match the real run's), priced as
+/// `max_k r_k · min(amount, remaining_k)` over the iterations where the
+/// winner's bid would have been safe, with the [`CriticalSource`] of the
+/// iteration that attained the max.
+///
+/// * **Prefix (`k < p`)** — before the excluded seller's first win the
+///   replay visits exactly the real run's states, so iteration `k`'s
+///   candidate value and phantom-safety test are evaluated directly on
+///   the precomputed [`PrefixStep`] — identical arithmetic on identical
+///   bits, no argmin.
+/// * **Suffix (`k ≥ p`)** — forks from a selection-time cursor snapshot.
+///   Sellers sold before position `p` (or the excluded winner, or
+///   sellers sold *within this replay* — marked via `epoch`) are skipped
+///   at query time, which is exactly the scan oracle's candidate set, so
+///   thresholds and provenance are bit-identical to a full replay
+///   (DESIGN.md §11). Iteration numbering continues at `p`.
+///
+/// The threshold is `None` when the replay gets stuck — the excluded
+/// seller is then pivotal and wins at any price.
 #[allow(clippy::too_many_arguments)]
-fn replay_payment_arena(
+fn replay_payment(
     arena: &crate::arena::BidArena,
     table: &crate::arena::SellerTable,
     prefix: &[PrefixStep],
@@ -892,7 +691,7 @@ fn replay_payment_arena(
     winner_slot: u32,
     amount: u64,
     phantom: u64,
-    work: &mut [u32],
+    work: &mut crate::arena::Cursors,
     epoch: &mut [u32],
     epoch_id: u32,
 ) -> ReplayOutcome {
@@ -916,8 +715,8 @@ fn replay_payment_arena(
     }
     // Suffix from the fork state: the real run's remaining and
     // total_max entering iteration `p` (the phantom convention makes
-    // `prefix[p].total_max` equal the legacy suffix heap's total).
-    let mut heap = HeapStats::default();
+    // `prefix[p].total_max` count the phantom).
+    let mut argmin = ArgminStats::default();
     let mut remaining = prefix[p].remaining;
     let mut total_max = prefix[p].total_max;
     let mut iteration = p as u64;
@@ -927,7 +726,7 @@ fn replay_payment_arena(
         let pick = arena.pop_best(
             work,
             rem,
-            &mut heap,
+            &mut argmin,
             |s| {
                 s == winner_slot
                     || position_by_slot[s as usize] < p32
@@ -938,7 +737,7 @@ fn replay_payment_arena(
         let Some(pick) = pick else {
             return ReplayOutcome {
                 threshold: None,
-                heap,
+                argmin,
                 iterations: iteration,
                 prefix_iterations: p as u64,
             };
@@ -961,12 +760,12 @@ fn replay_payment_arena(
         epoch[pick.slot as usize] = epoch_id;
         total_max -= table.max_of(pick.slot);
         remaining -= contribution(pick.amount, rem);
-        arena.consume(work, &pick);
+        arena.consume(work, &pick, &mut argmin);
         iteration += 1;
     }
     ReplayOutcome {
         threshold: Some((threshold, source)),
-        heap,
+        argmin,
         iterations: iteration,
         prefix_iterations: p as u64,
     }
@@ -974,7 +773,7 @@ fn replay_payment_arena(
 
 /// One iteration of the real greedy run, snapshotted so payment replays
 /// can answer their shared prefix in O(1) per step instead of repeating
-/// the heap work (see [`replay_payment`]).
+/// the argmin work (see [`replay_payment`]).
 #[derive(Debug, Clone, Copy)]
 struct PrefixStep {
     /// The seller selected at this iteration of the real run.
@@ -990,21 +789,19 @@ struct PrefixStep {
 }
 
 /// Snapshots the real run's per-iteration state (`PrefixStep`s in
-/// selection order) and each winning seller's selection position.
+/// selection order) and each seller slot's selection position
+/// (`u32::MAX` for sellers that did not win).
 fn build_prefix(
     selection: &[(crate::bid::Bid, u64)],
     demand: u64,
-    supply: u64,
-    per_seller_best: &std::collections::BTreeMap<MicroserviceId, u64>,
-) -> (
-    Vec<PrefixStep>,
-    std::collections::BTreeMap<MicroserviceId, usize>,
-) {
+    table: &crate::arena::SellerTable,
+) -> (Vec<PrefixStep>, Vec<u32>) {
     let mut prefix = Vec::with_capacity(selection.len());
-    let mut position = std::collections::BTreeMap::new();
+    let mut position = vec![u32::MAX; table.len()];
     let mut remaining = demand;
-    let mut total_max = supply;
+    let mut total_max = table.total_max();
     for (p, (winner, c)) in selection.iter().enumerate() {
+        let slot = table.slot_of(winner.seller);
         prefix.push(PrefixStep {
             seller: winner.seller,
             bid: winner.id,
@@ -1012,9 +809,9 @@ fn build_prefix(
             remaining,
             total_max,
         });
-        position.insert(winner.seller, p);
+        position[slot as usize] = p as u32;
         remaining -= c;
-        total_max -= per_seller_best.get(&winner.seller).copied().unwrap_or(0);
+        total_max -= table.max_of(slot);
     }
     (prefix, position)
 }
@@ -1026,162 +823,12 @@ struct ReplayOutcome {
     /// `Some((threshold, provenance))`, or `None` when the excluded
     /// seller is pivotal (the replay got stuck).
     threshold: Option<(f64, Option<CriticalSource>)>,
-    /// Heap traffic of the suffix replay.
-    heap: HeapStats,
+    /// Argmin traffic of the suffix replay.
+    argmin: ArgminStats,
     /// Iterations this replay advanced through in total.
     iterations: u64,
     /// Of those, iterations answered from the shared prefix.
     prefix_iterations: u64,
-}
-
-/// The critical value of the winner at selection position `p`, computed
-/// as [`critical_threshold`] would but without re-running the prefix:
-///
-/// * **Prefix (`k < p`)** — before the excluded seller's first win the
-///   replay visits exactly the real run's states (the phantom preserves
-///   every safety decision and `total_max`), so iteration `k`'s
-///   candidate value and phantom-safety test are evaluated directly on
-///   the precomputed [`PrefixStep`] — identical arithmetic on identical
-///   bits, no heap.
-/// * **Suffix (`k ≥ p`)** — a fresh [`HeapGreedy`] over the candidates
-///   still unsold at `p` (minus the excluded seller), seeded with the
-///   real run's `remaining_p`. Pop outcomes of the lazy-deletion heap
-///   depend only on `(bids, remaining, seller_max)` — not on how the
-///   heap got there — so the suffix selects bit-identical winners to a
-///   full replay's tail (DESIGN.md §11). Iteration numbering continues
-///   at `p`, keeping [`CriticalSource`] provenance byte-identical.
-fn replay_payment(
-    candidates: &[&crate::bid::Bid],
-    prefix: &[PrefixStep],
-    position: &std::collections::BTreeMap<MicroserviceId, usize>,
-    p: usize,
-    winner: &crate::bid::Bid,
-    phantom: u64,
-) -> ReplayOutcome {
-    let amount = winner.amount;
-    let mut threshold = 0.0f64;
-    let mut source: Option<CriticalSource> = None;
-    for (k, step) in prefix.iter().take(p).enumerate() {
-        let c = contribution(amount, step.remaining);
-        // `phantom_safe` against the real run's state: the replay's
-        // total_max at step k equals the real run's (phantom included).
-        if c + (step.total_max - phantom) >= step.remaining {
-            let candidate = step.unit_price * c as f64;
-            if candidate > threshold {
-                threshold = candidate;
-                source = Some(CriticalSource {
-                    seller: step.seller,
-                    bid: step.bid,
-                    iteration: k as u64,
-                    unit_price: step.unit_price,
-                    contribution: c,
-                });
-            }
-        }
-    }
-    // The replay can only get stuck in the suffix: at every prefix step
-    // the real run's winner is still available and safe.
-    let suffix: Vec<&crate::bid::Bid> = candidates
-        .iter()
-        .copied()
-        .filter(|b| b.seller != winner.seller && position.get(&b.seller).is_none_or(|&q| q >= p))
-        .collect();
-    let mut state = HeapGreedy::new(suffix, prefix[p].remaining, phantom);
-    let mut iteration = p as u64;
-    while state.remaining > 0 {
-        let best = match state.pop_best_safe() {
-            Some(b) => b,
-            None => {
-                return ReplayOutcome {
-                    threshold: None,
-                    heap: state.stats,
-                    iterations: iteration,
-                    prefix_iterations: p as u64,
-                };
-            }
-        };
-        let r_k = ratio(best.price, best.amount, state.remaining);
-        if state.phantom_safe(amount) {
-            let candidate = r_k * contribution(amount, state.remaining) as f64;
-            if candidate > threshold {
-                threshold = candidate;
-                source = Some(CriticalSource {
-                    seller: best.seller,
-                    bid: best.id,
-                    iteration,
-                    unit_price: r_k,
-                    contribution: contribution(amount, state.remaining),
-                });
-            }
-        }
-        state.sell(best);
-        iteration += 1;
-    }
-    ReplayOutcome {
-        threshold: Some((threshold, source)),
-        heap: state.stats,
-        iterations: iteration,
-        prefix_iterations: p as u64,
-    }
-}
-
-/// Replays the greedy run with one seller excluded from selection (but
-/// its best offer kept as phantom supply, so safety decisions match the
-/// real run's) and returns that seller's critical value for a bid of
-/// `amount` units: `max_k r_k · min(amount, remaining_k)` over the
-/// iterations where the bid would have been safe — together with the
-/// [`CriticalSource`] describing which runner-up iteration attained the
-/// max (provenance for the audit trail).
-///
-/// Returns `None` when the replay gets stuck — the excluded seller is
-/// then pivotal and wins at any price.
-///
-/// This is the *full* replay, starting from the initial state; the hot
-/// path uses [`replay_payment`] (shared prefix + suffix heap), and the
-/// differential suite checks the two agree bit-for-bit — so the full
-/// version is only compiled as part of the reference oracle.
-#[cfg(feature = "ssam-reference")]
-fn critical_threshold(
-    others: Vec<&crate::bid::Bid>,
-    demand: u64,
-    amount: u64,
-    phantom: u64,
-    stats: &mut HeapStats,
-) -> Option<(f64, Option<CriticalSource>)> {
-    let mut state = HeapGreedy::new(others, demand, phantom);
-    let mut threshold = 0.0f64;
-    let mut source: Option<CriticalSource> = None;
-    let mut iteration = 0u64;
-    while state.remaining > 0 {
-        let best = match state.pop_best_safe() {
-            Some(b) => b,
-            None => {
-                stats.absorb(state.stats);
-                return None;
-            }
-        };
-        let r_k = ratio(best.price, best.amount, state.remaining);
-        if state.phantom_safe(amount) {
-            // `candidate > threshold` tracks the argmax of the original
-            // `threshold.max(candidate)` exactly (both operands finite,
-            // ties keep the earlier iteration).
-            let candidate = r_k * contribution(amount, state.remaining) as f64;
-            if candidate > threshold {
-                threshold = candidate;
-                source = Some(CriticalSource {
-                    seller: best.seller,
-                    bid: best.id,
-                    iteration,
-                    unit_price: r_k,
-                    contribution: contribution(amount, state.remaining),
-                });
-            }
-        }
-        state.sell(best);
-        iteration += 1;
-    }
-    stats.absorb(state.stats);
-    Some((threshold, source))
 }
 
 /// Builds the Theorem 3 certificate from the assigned unit prices.
@@ -1211,8 +858,8 @@ fn build_certificate(winners: &[WinningBid], demand: u64, social_cost: Price) ->
     }
 }
 
-/// The seed's scan-based SSAM, kept verbatim as a differential oracle
-/// for the heap-based hot path (feature `ssam-reference`, on by
+/// The seed's scan-based SSAM, kept verbatim as the differential oracle
+/// for the lane-arena hot path (feature `ssam-reference`, on by
 /// default). Selection re-scans every candidate each iteration — O(n²)
 /// — which makes it slow but easy to audit; `run_ssam_reference` must
 /// return **bit-identical** outcomes to [`run_ssam`] on every instance
@@ -1299,23 +946,77 @@ pub mod reference {
         selection
     }
 
+    /// The scan replay without one seller: its critical value for a bid
+    /// of `amount` units with the provenance of the iteration that set
+    /// it, or `None` when the replay gets stuck (the seller is pivotal).
     fn critical_threshold_scan(
         others: Vec<&crate::bid::Bid>,
         demand: u64,
         amount: u64,
         phantom: u64,
-    ) -> Option<f64> {
+    ) -> Option<(f64, Option<CriticalSource>)> {
         let mut state = ScanGreedy::new(others, demand, phantom);
         let mut threshold = 0.0f64;
+        let mut source = None;
+        let mut iteration = 0u64;
         while state.remaining > 0 {
             let best = *state.best_safe()?;
             let r_k = ratio(best.price, best.amount, state.remaining);
             if state.phantom_safe(amount) {
-                threshold = threshold.max(r_k * contribution(amount, state.remaining) as f64);
+                // `candidate > threshold` tracks the argmax of
+                // `threshold.max(candidate)` exactly (both operands
+                // finite); ties keep the earlier iteration, as on the
+                // hot path.
+                let c = contribution(amount, state.remaining);
+                let candidate = r_k * c as f64;
+                if candidate > threshold {
+                    threshold = candidate;
+                    source = Some(CriticalSource {
+                        seller: best.seller,
+                        bid: best.id,
+                        iteration,
+                        unit_price: r_k,
+                        contribution: c,
+                    });
+                }
             }
             state.sell(&best);
+            iteration += 1;
         }
-        Some(threshold)
+        Some((threshold, source))
+    }
+
+    /// The scan selection and every winner's critical threshold by
+    /// *full* replay from the initial state (no shared prefix), in
+    /// selection order.
+    #[allow(clippy::type_complexity)]
+    fn scan_auction(
+        instance: &WspInstance,
+        config: &SsamConfig,
+    ) -> Result<
+        (
+            Vec<(crate::bid::Bid, u64)>,
+            Vec<Option<(f64, Option<CriticalSource>)>>,
+        ),
+        AuctionError,
+    > {
+        let candidates = reserve_filtered(instance, config);
+        let per_seller_best = seller_best(instance, &candidates)?;
+        let demand = instance.demand();
+        let selection = greedy_select_scan(candidates.clone(), demand);
+        let thresholds = selection
+            .iter()
+            .map(|(winner, _)| {
+                let without: Vec<&crate::bid::Bid> = candidates
+                    .iter()
+                    .copied()
+                    .filter(|b| b.seller != winner.seller)
+                    .collect();
+                let phantom = per_seller_best[&winner.seller];
+                critical_threshold_scan(without, demand, winner.amount, phantom)
+            })
+            .collect();
+        Ok((selection, thresholds))
     }
 
     /// Runs Algorithm 1 with the original O(n²) scan selection.
@@ -1328,62 +1029,30 @@ pub mod reference {
         instance: &WspInstance,
         config: &SsamConfig,
     ) -> Result<SsamOutcome, AuctionError> {
-        let candidates: Vec<&crate::bid::Bid> = instance
-            .bids()
-            .filter(|b| match config.reserve_unit_price {
-                Some(r) => b.unit_price() <= r,
-                None => true,
+        let demand = instance.demand();
+        let (selection, thresholds) = scan_auction(instance, config)?;
+        let winners: Vec<WinningBid> = selection
+            .iter()
+            .zip(thresholds)
+            .map(|((winner, c), threshold)| {
+                let payment_value = match threshold {
+                    Some((v, _)) => v,
+                    None => config
+                        .reserve_unit_price
+                        .map(|r| r * winner.amount as f64)
+                        .unwrap_or(winner.price.value())
+                        .max(winner.price.value()),
+                };
+                WinningBid {
+                    seller: winner.seller,
+                    bid: winner.id,
+                    amount_offered: winner.amount,
+                    contribution: *c,
+                    price: winner.price,
+                    payment: Price::new_unchecked(payment_value),
+                }
             })
             .collect();
-
-        let mut per_seller_best: std::collections::BTreeMap<MicroserviceId, u64> =
-            std::collections::BTreeMap::new();
-        for b in &candidates {
-            let e = per_seller_best.entry(b.seller).or_insert(0);
-            *e = (*e).max(b.amount);
-        }
-        let supply: u64 = per_seller_best.values().sum();
-        if supply < instance.demand() {
-            return Err(AuctionError::InfeasibleDemand {
-                demand: instance.demand(),
-                supply,
-            });
-        }
-
-        let demand = instance.demand();
-        let selection = greedy_select_scan(candidates.clone(), demand);
-
-        let mut winners: Vec<WinningBid> = Vec::with_capacity(selection.len());
-        for (winner, c) in &selection {
-            let without: Vec<&crate::bid::Bid> = candidates
-                .iter()
-                .copied()
-                .filter(|b| b.seller != winner.seller)
-                .collect();
-            let phantom = candidates
-                .iter()
-                .filter(|b| b.seller == winner.seller)
-                .map(|b| b.amount)
-                .max()
-                .unwrap_or(0);
-            let threshold = critical_threshold_scan(without, demand, winner.amount, phantom);
-            let payment_value = match threshold {
-                Some(v) => v,
-                None => config
-                    .reserve_unit_price
-                    .map(|r| r * winner.amount as f64)
-                    .unwrap_or(winner.price.value())
-                    .max(winner.price.value()),
-            };
-            winners.push(WinningBid {
-                seller: winner.seller,
-                bid: winner.id,
-                amount_offered: winner.amount,
-                contribution: *c,
-                price: winner.price,
-                payment: Price::new_unchecked(payment_value),
-            });
-        }
 
         let social_cost: Price = winners.iter().map(|w| w.price).sum();
         let total_payment: Price = winners.iter().map(|w| w.payment).sum();
@@ -1398,7 +1067,7 @@ pub mod reference {
         })
     }
 
-    /// Critical thresholds by *full* heap replay — each winner priced by
+    /// Critical thresholds by *full* scan replay — each winner priced by
     /// replaying from the initial state, no shared prefix. One entry per
     /// winner in selection order, with the same `(threshold, provenance)`
     /// shape the hot path computes; the differential suite asserts
@@ -1415,47 +1084,7 @@ pub mod reference {
         instance: &WspInstance,
         config: &SsamConfig,
     ) -> Result<Vec<Option<(f64, Option<CriticalSource>)>>, AuctionError> {
-        let candidates: Vec<&crate::bid::Bid> = instance
-            .bids()
-            .filter(|b| match config.reserve_unit_price {
-                Some(r) => b.unit_price() <= r,
-                None => true,
-            })
-            .collect();
-        let mut per_seller_best: std::collections::BTreeMap<MicroserviceId, u64> =
-            std::collections::BTreeMap::new();
-        for b in &candidates {
-            let e = per_seller_best.entry(b.seller).or_insert(0);
-            *e = (*e).max(b.amount);
-        }
-        let supply: u64 = per_seller_best.values().sum();
-        if supply < instance.demand() {
-            return Err(AuctionError::InfeasibleDemand {
-                demand: instance.demand(),
-                supply,
-            });
-        }
-
-        let demand = instance.demand();
-        let mut stats = HeapStats::default();
-        let selection = greedy_select(candidates.clone(), demand, &mut stats);
-        let mut thresholds = Vec::with_capacity(selection.len());
-        for (winner, _) in &selection {
-            let without: Vec<&crate::bid::Bid> = candidates
-                .iter()
-                .copied()
-                .filter(|b| b.seller != winner.seller)
-                .collect();
-            let phantom = per_seller_best.get(&winner.seller).copied().unwrap_or(0);
-            thresholds.push(critical_threshold(
-                without,
-                demand,
-                winner.amount,
-                phantom,
-                &mut stats,
-            ));
-        }
-        Ok(thresholds)
+        scan_auction(instance, config).map(|(_, thresholds)| thresholds)
     }
 }
 
@@ -1751,7 +1380,7 @@ mod tests {
         let pops = engine
             .fields
             .iter()
-            .find(|(k, _)| *k == "heap_pops")
+            .find(|(k, _)| *k == "pops")
             .and_then(|(_, v)| v.as_f64())
             .unwrap();
         assert!(pops > 0.0);

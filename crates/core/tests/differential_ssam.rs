@@ -1,4 +1,4 @@
-//! Differential suite: the heap-based hot path must be **bit-identical**
+//! Differential suite: the lane-arena hot path must be **bit-identical**
 //! to the seed's O(n²) scan implementation, which is kept behind the
 //! `ssam-reference` feature exactly for this purpose.
 //!
@@ -13,16 +13,28 @@ use edge_auction::bid::Bid;
 use edge_auction::multi_buyer::{
     run_ssam_multi, run_ssam_multi_reference, CoverBid, MultiBuyerWsp,
 };
-use edge_auction::ssam::{run_ssam, run_ssam_reference, SsamConfig};
+use edge_auction::ssam::{run_ssam, run_ssam_reference, run_ssam_traced, SsamConfig};
 use edge_auction::wsp::WspInstance;
 use edge_common::id::{BidId, MicroserviceId};
+use edge_telemetry::{Collector, Trace, Value};
 use proptest::prelude::*;
 
 /// Instances where sellers submit up to 4 alternative bids, with the
 /// full messy range the mechanism accepts: equal prices (tie-breaking),
 /// zero prices, offers far above the demand, and single-unit slivers.
 fn arb_instance() -> impl Strategy<Value = WspInstance> {
-    proptest::collection::vec(proptest::collection::vec((1u64..12, 0u32..25), 1..5), 2..12)
+    arb_instance_with_amounts(1u64..12)
+}
+
+/// Same shape, but amounts drawn from 1..200: many distinct amount
+/// classes, so the arena runs with dozens of lanes and the split between
+/// saturated and unsaturated lanes moves on every sale.
+fn arb_wide_instance() -> impl Strategy<Value = WspInstance> {
+    arb_instance_with_amounts(1u64..200)
+}
+
+fn arb_instance_with_amounts(amounts: std::ops::Range<u64>) -> impl Strategy<Value = WspInstance> {
+    proptest::collection::vec(proptest::collection::vec((amounts, 0u32..25), 1..5), 2..12)
         .prop_flat_map(|groups| {
             let supply: u64 = groups
                 .iter()
@@ -66,21 +78,30 @@ fn arb_config() -> impl Strategy<Value = SsamConfig> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
-    /// The tentpole invariant: heap SSAM ≡ scan SSAM, entire outcome.
+    /// The tentpole invariant: arena SSAM ≡ scan SSAM, entire outcome.
     #[test]
-    fn heap_matches_scan_reference((inst, config) in (arb_instance(), arb_config())) {
-        let fast = run_ssam(&inst, &config);
-        let slow = run_ssam_reference(&inst, &config);
-        match (fast, slow) {
-            (Ok(fast), Ok(slow)) => prop_assert_eq!(fast, slow),
-            (Err(fast), Err(slow)) => {
-                prop_assert_eq!(format!("{fast:?}"), format!("{slow:?}"));
-            }
-            (fast, slow) => {
-                return Err(format!("divergent feasibility: {fast:?} vs {slow:?}"));
-            }
+    fn arena_matches_scan_reference((inst, config) in (arb_instance(), arb_config())) {
+        assert_matches_scan(&inst, &config)?;
+    }
+
+    /// Wide amounts: up to 200 lanes, uncapped.
+    #[test]
+    fn wide_arena_matches_scan_reference((inst, config) in (arb_wide_instance(), arb_config())) {
+        assert_matches_scan(&inst, &config)?;
+    }
+}
+
+fn assert_matches_scan(inst: &WspInstance, config: &SsamConfig) -> Result<(), String> {
+    match (run_ssam(inst, config), run_ssam_reference(inst, config)) {
+        (Ok(fast), Ok(slow)) => prop_assert_eq!(fast, slow),
+        (Err(fast), Err(slow)) => {
+            prop_assert_eq!(format!("{fast:?}"), format!("{slow:?}"));
+        }
+        (fast, slow) => {
+            return Err(format!("divergent feasibility: {fast:?} vs {slow:?}"));
         }
     }
+    Ok(())
 }
 
 /// Random multi-buyer set-cover instances, including zero-price bids —
@@ -224,7 +245,7 @@ proptest! {
 /// Deterministic stress: a large all-ties instance (every bid the same
 /// unit price) replays the tie-break chain hundreds of levels deep.
 #[test]
-fn heap_matches_scan_on_mass_ties() {
+fn arena_matches_scan_on_mass_ties() {
     let bids: Vec<Bid> = (0..400)
         .map(|s| Bid::new(MicroserviceId::new(s), BidId::new(0), 3, 6.0).unwrap())
         .collect();
@@ -234,4 +255,184 @@ fn heap_matches_scan_on_mass_ties() {
     let slow = run_ssam_reference(&inst, &config).unwrap();
     assert_eq!(fast, slow);
     assert_eq!(fast.winners.len(), 300);
+}
+
+fn bid(seller: usize, id: usize, amount: u64, price: f64) -> Bid {
+    Bid::new(MicroserviceId::new(seller), BidId::new(id), amount, price).unwrap()
+}
+
+/// Runs the traced auction at `threads` pricing threads: the outcome,
+/// the full deterministic trace section, and the run's lane-head reads
+/// per argmin query (from the `ssam.engine` profile entry and the
+/// `ssam.stats` event).
+fn traced_at(inst: &WspInstance, threads: usize) -> (edge_auction::ssam::SsamOutcome, String, f64) {
+    let _guard = PRICING_LOCK.lock().unwrap();
+    edge_auction::set_pricing_threads(threads);
+    let collector = Collector::new();
+    let outcome = run_ssam_traced(inst, &SsamConfig::default(), Trace::new(&collector));
+    edge_auction::set_pricing_threads(1);
+    let scans = collector
+        .events()
+        .into_iter()
+        .find(|e| e.name == "ssam.stats")
+        .and_then(|e| e.field("pop_best_scans").and_then(Value::as_f64))
+        .unwrap();
+    let reads = collector
+        .profile_entries()
+        .into_iter()
+        .find(|p| p.name == "ssam.engine")
+        .and_then(|p| {
+            p.fields
+                .iter()
+                .find(|(k, _)| *k == "lane_head_reads")
+                .and_then(|(_, v)| v.as_f64())
+        })
+        .unwrap();
+    (
+        outcome.unwrap(),
+        collector.deterministic_jsonl(),
+        reads / scans,
+    )
+}
+
+/// The arena equals the scan oracle on `inst`, and its deterministic
+/// trace is byte-identical at 1 and 4 pricing threads. Returns the
+/// outcome and the lane-head reads per argmin query.
+fn assert_exact(inst: &WspInstance) -> (edge_auction::ssam::SsamOutcome, f64) {
+    let (outcome, trace, reads_per_scan) = traced_at(inst, 1);
+    assert_eq!(
+        outcome,
+        run_ssam_reference(inst, &SsamConfig::default()).unwrap()
+    );
+    let (outcome4, trace4, _) = traced_at(inst, 4);
+    assert_eq!(outcome4, outcome);
+    assert_eq!(trace4, trace, "deterministic trace diverged at 4 threads");
+    (outcome, reads_per_scan)
+}
+
+/// Two adjacent prices `p < p.next_up()` near 1.6 that divide by `denom`
+/// to the same f64 key — distinct prices, one greedy key.
+fn colliding_prices(denom: f64) -> (f64, f64) {
+    let mut p = 1.6f64;
+    for _ in 0..1_000 {
+        let q = p.next_up();
+        if p / denom == q / denom {
+            return (p, q);
+        }
+        p = q;
+    }
+    panic!("no colliding pair near 1.6 for denominator {denom}");
+}
+
+#[test]
+fn key_collision_within_one_unsaturated_lane() {
+    // One lane (amount 3) below the split at demand 10: keys are
+    // `price / 3`. Seller 5's cheaper price heads the lane, but seller
+    // 1's next-up price divides to the same key, so seller 1 wins the
+    // (seller, id) tie-break.
+    let (p, q) = colliding_prices(3.0);
+    let inst = WspInstance::new(
+        10,
+        vec![
+            bid(5, 0, 3, p),
+            bid(1, 0, 3, q),
+            bid(2, 0, 3, 9.0),
+            bid(3, 0, 3, 9.5),
+            bid(4, 0, 3, 10.0),
+        ],
+    )
+    .unwrap();
+    let (outcome, _) = assert_exact(&inst);
+    assert_eq!(outcome.winners[0].seller, MicroserviceId::new(1));
+    assert_eq!(outcome.winners[1].seller, MicroserviceId::new(5));
+}
+
+#[test]
+fn key_collision_across_two_saturated_lanes() {
+    // Amounts 5 and 7 both cover the demand of 3, so both lanes divide by
+    // `remaining = 3` and the suffix order compares prices: seller 4's
+    // lower price in lane 5 is the price argmin, yet seller 0's higher
+    // price in lane 7 reaches the same key and wins on seller id.
+    let (p, q) = colliding_prices(3.0);
+    let inst = WspInstance::new(
+        3,
+        vec![
+            bid(4, 0, 5, p),
+            bid(0, 0, 7, q),
+            bid(2, 0, 5, 12.0),
+            bid(3, 0, 7, 13.0),
+        ],
+    )
+    .unwrap();
+    let (outcome, _) = assert_exact(&inst);
+    assert_eq!(outcome.winners.len(), 1);
+    assert_eq!(outcome.winners[0].seller, MicroserviceId::new(0));
+}
+
+#[test]
+fn key_collision_behind_a_sold_head() {
+    // Seller 2 sells its one-unit sliver first; its amount-3 bid, at the
+    // lane's lowest price, is then a dead head. Behind it seller 6 holds
+    // the same price and seller 1 the colliding next-up price: the
+    // skipped head must not hide the collision.
+    let (p, q) = colliding_prices(3.0);
+    let inst = WspInstance::new(
+        12,
+        vec![
+            bid(2, 0, 1, 0.1),
+            bid(2, 1, 3, p),
+            bid(6, 0, 3, p),
+            bid(1, 0, 3, q),
+            bid(3, 0, 3, 9.0),
+            bid(4, 0, 3, 9.5),
+            bid(5, 0, 3, 10.0),
+        ],
+    )
+    .unwrap();
+    let (outcome, _) = assert_exact(&inst);
+    let order: Vec<usize> = outcome.winners.iter().map(|w| w.seller.index()).collect();
+    assert_eq!(&order[..3], &[2, 1, 6]);
+}
+
+#[test]
+fn thousands_of_amount_classes_stay_exact_and_logarithmic() {
+    // 2,048 sellers, each offering a distinct amount: one lane apiece.
+    // Unit prices are spread pseudo-randomly so winners come from all
+    // over the lane range and the split moves as demand is covered.
+    let lanes = 2_048u64;
+    let bids: Vec<Bid> = (0..lanes)
+        .map(|s| {
+            let unit = 1.0 + ((s * 7_919) % 1_009) as f64 / 97.0;
+            bid(s as usize, 0, s + 1, unit * (s + 1) as f64)
+        })
+        .collect();
+    let inst = WspInstance::new(20_000, bids).unwrap();
+    let (outcome, reads_per_scan) = assert_exact(&inst);
+    assert!(outcome.winners.len() > 10);
+    // 4 · ⌈log₂ L⌉ = 44; a linear scan over lane heads would read 2,048.
+    assert!(
+        reads_per_scan <= 44.0,
+        "{reads_per_scan:.1} lane-head reads per argmin query"
+    );
+}
+
+#[test]
+fn bid_ids_beyond_u32_match_scan() {
+    // Ids past 2^32 (reachable from a scenario file) order like any
+    // other id in the (seller, id) tie-break.
+    let big = 1usize << 40;
+    let inst = WspInstance::new(
+        6,
+        vec![
+            bid(0, big, 2, 4.0),
+            bid(0, 3, 2, 4.0),
+            bid(1, big + 7, 3, 6.0),
+            bid(1, big + 2, 3, 6.0),
+            bid(2, big, 4, 9.0),
+        ],
+    )
+    .unwrap();
+    let (outcome, _) = assert_exact(&inst);
+    assert_eq!(outcome.winners[0].bid, BidId::new(3));
+    assert_eq!(outcome.winners[1].bid, BidId::new(big + 2));
 }

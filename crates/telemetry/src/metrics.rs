@@ -173,7 +173,7 @@ pub mod pricing {
 /// Ambient selection-phase metrics, fed by the auction's winner
 /// selection. Mirrors [`pricing`]: wall-clock must stay out of the
 /// deterministic trace (runs are required to be byte-identical across
-/// thread and shard counts), so the selection phase reports its timing
+/// thread counts), so the selection phase reports its timing
 /// through process-global atomics and consumers work with snapshot
 /// deltas.
 pub mod selection {
@@ -188,8 +188,8 @@ pub mod selection {
         /// Wall-clock nanoseconds spent in the whole selection phase
         /// (arena build + greedy merge).
         pub selection_ns: u64,
-        /// Of those, nanoseconds spent in the cross-shard merge loop
-        /// (the sequential argmin over lane heads).
+        /// Of those, nanoseconds spent in the greedy merge loop (the
+        /// argmin queries over the lane arena).
         pub merge_ns: u64,
     }
 

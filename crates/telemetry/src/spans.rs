@@ -6,7 +6,7 @@
 //! * Span *structure* — names, nesting, call counts, and per-span
 //!   counters recorded with [`ctr`] — depends only on the workload, so
 //!   two runs of the same instance produce the same tree at any
-//!   `--pricing-threads` / `--shards` setting. [`SpanTree::flush_into`]
+//!   `--pricing-threads` setting. [`SpanTree::flush_into`]
 //!   writes this side into a collector's deterministic JSONL section
 //!   (one `span` event per node, DFS order).
 //! * Wall-clock durations and engine diagnostics recorded with [`diag`]

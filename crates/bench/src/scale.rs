@@ -4,8 +4,8 @@
 //!
 //! Unlike the figure sweeps in [`crate::runner`] this is *not* a paper
 //! figure — it is the machine-readable evidence for the parallel
-//! critical-value pricing and the incremental round buffer. Each cell
-//! (`n` sellers × `rounds` × thread count) runs the same deterministic
+//! critical-value pricing and the per-round filter-and-scale pass. Each
+//! cell (`n` sellers × `rounds` × thread count) runs the same deterministic
 //! [`crate::scenario::scale_instance`] several times and records the
 //! **median** wall-clock plus the pricing-phase counters drained from
 //! [`edge_telemetry::pricing`]; the replay/prefix iteration counts are
@@ -43,8 +43,8 @@ pub const SCALE_SCHEMA_V1: &str = "edge-market/bench-scale/v1";
 /// Seller populations swept by default (clamped by `max_n`).
 pub const SCALE_SIZES: [usize; 6] = [1_000, 10_000, 50_000, 100_000, 500_000, 1_000_000];
 
-/// Rounds per instance; identical bid lists so the incremental buffer's
-/// patched path is what gets measured after round one.
+/// Rounds per instance; every round repeats the bid list, so rounds
+/// after the first differ only in the winners' ψ and χ.
 pub const SCALE_ROUNDS: u64 = 3;
 
 /// Baseline repetitions per cell; medians are reported, and the

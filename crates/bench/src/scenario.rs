@@ -150,8 +150,8 @@ pub fn multi_round_instance<R: Rng + ?Sized>(
 /// ample capacity, the *same* bid list every round — so the benchmark
 /// isolates the two hot paths under test: per-winner payment replays
 /// (demand of several hundred units ⇒ hundreds of winners per round)
-/// and the incremental round buffer (repeated bid lists ⇒ the patched
-/// path, with only winners' χ changing between rounds).
+/// and the per-round filter-and-scale pass over every bid (repeated bid
+/// lists, with only winners' ψ and χ changing between rounds).
 pub fn scale_instance<R: Rng + ?Sized>(n: usize, rounds: u64, rng: &mut R) -> MultiRoundInstance {
     assert!(n > 0 && rounds > 0, "scale cells are non-empty");
     let sellers: Vec<Seller> = (0..n)

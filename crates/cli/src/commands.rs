@@ -7,7 +7,8 @@
 use crate::args::{ArgsError, ParsedArgs};
 use crate::explain::{explain_round, parse_trace, ExplainError};
 use crate::faults::{parse_fault_plan, FaultPlanError};
-use edge_auction::msoa::{run_msoa_traced, MsoaConfig, MultiRoundInstance};
+use edge_auction::bid::{Bid, Seller};
+use edge_auction::msoa::{run_msoa_traced, MsoaConfig, MultiRoundInstance, RoundInput};
 use edge_auction::properties::{
     audit_truthfulness, check_critical_payments, check_individual_rationality, check_monotonicity,
 };
@@ -36,6 +37,9 @@ pub enum CliError {
     Json(serde_json::Error),
     /// The mechanism rejected the instance.
     Auction(edge_auction::AuctionError),
+    /// A scenario file passed every constructor but is not the instance
+    /// they build from its contents.
+    Scenario(&'static str),
     /// A `--faults` plan file failed to parse.
     Faults(FaultPlanError),
     /// Two flags that cannot be combined.
@@ -78,6 +82,7 @@ impl std::fmt::Display for CliError {
             CliError::Io(e) => write!(f, "io error: {e}"),
             CliError::Json(e) => write!(f, "json error: {e}"),
             CliError::Auction(e) => write!(f, "auction error: {e}"),
+            CliError::Scenario(e) => write!(f, "scenario error: {e}"),
             CliError::Faults(e) => write!(f, "fault plan error: {e}"),
             CliError::FlagConflict(a, b) => {
                 write!(f, "--{a} cannot be combined with --{b}")
@@ -224,7 +229,7 @@ COMMANDS:
                     profiler and render the stage-attributed waterfall:
                     per-stage total/self wall time with percentages, the
                     attribution line, deterministic per-span counters
-                    (replays, pop_best scans, patched slots), and
+                    (replays, pop_best scans, backfill rungs), and
                     profile-side engine diagnostics (lane widths,
                     head-read totals, adaptive-pool decisions); span
                     structure is byte-identical at every
@@ -404,10 +409,49 @@ fn ssam_config(args: &ParsedArgs) -> Result<SsamConfig, CliError> {
     })
 }
 
+/// Reads a single-round scenario file and rebuilds it through
+/// [`Bid::new`] and [`WspInstance::new`], so a malformed file fails with
+/// the constructor's error instead of reaching the mechanism.
+fn load_round(path: &str) -> Result<WspInstance, CliError> {
+    let raw: WspInstance = serde_json::from_str(&fs::read_to_string(path)?)?;
+    let bids = raw.bids().map(rebuild_bid).collect::<Result<_, _>>()?;
+    let instance = WspInstance::new(raw.demand(), bids)?;
+    if instance != raw {
+        return Err(CliError::Scenario(
+            "groups must hold each seller's bids, one non-empty group per seller in first-bid order",
+        ));
+    }
+    Ok(instance)
+}
+
+/// Reads a multi-round scenario file and rebuilds it through
+/// [`Seller::new`], [`Bid::new`] and [`MultiRoundInstance::new`].
+fn load_rounds(path: &str) -> Result<MultiRoundInstance, CliError> {
+    let raw: MultiRoundInstance = serde_json::from_str(&fs::read_to_string(path)?)?;
+    let sellers = raw
+        .sellers()
+        .iter()
+        .map(|s| Seller::new(s.id, s.capacity, s.window))
+        .collect::<Result<_, _>>()?;
+    let rounds = raw
+        .rounds()
+        .iter()
+        .map(|r| {
+            let bids = r.bids.iter().map(rebuild_bid).collect::<Result<_, _>>()?;
+            Ok(RoundInput::new(r.estimated_demand, r.true_demand, bids))
+        })
+        .collect::<Result<_, edge_auction::AuctionError>>()?;
+    Ok(MultiRoundInstance::new(sellers, rounds)?)
+}
+
+fn rebuild_bid(b: &Bid) -> Result<Bid, edge_auction::AuctionError> {
+    Bid::new(b.seller, b.id, b.amount, b.price.value())
+}
+
 fn ssam(args: &ParsedArgs) -> Result<String, CliError> {
     args.allow_only(&["input", "reserve", "trace", "pricing-threads"])?;
     apply_pricing_threads(args)?;
-    let instance: WspInstance = serde_json::from_str(&fs::read_to_string(args.require("input")?)?)?;
+    let instance = load_round(args.require("input")?)?;
     let config = ssam_config(args)?;
     let mut trace_note = String::new();
     let outcome = match args.get("trace") {
@@ -479,8 +523,7 @@ fn msoa(args: &ParsedArgs) -> Result<String, CliError> {
             .into())
         }
     };
-    let instance: MultiRoundInstance =
-        serde_json::from_str(&fs::read_to_string(args.require("input")?)?)?;
+    let instance = load_rounds(args.require("input")?)?;
     if fault_mode {
         return msoa_faulty(args, &instance, &recovery);
     }
@@ -636,7 +679,7 @@ fn msoa_faulty(
 
 fn audit(args: &ParsedArgs) -> Result<String, CliError> {
     args.allow_only(&["input", "reserve"])?;
-    let instance: WspInstance = serde_json::from_str(&fs::read_to_string(args.require("input")?)?)?;
+    let instance = load_round(args.require("input")?)?;
     let config = ssam_config(args)?;
     let outcome = run_ssam(&instance, &config)?;
     let deviations = [0.5, 0.8, 0.95, 1.05, 1.25, 2.0];

@@ -83,7 +83,6 @@ pub mod offline;
 pub mod pricing;
 pub mod properties;
 pub mod recovery;
-pub(crate) mod round_buffer;
 pub mod service;
 pub mod ssam;
 pub mod variants;

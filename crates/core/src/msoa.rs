@@ -46,7 +46,7 @@
 
 use crate::bid::{Bid, Seller};
 use crate::error::AuctionError;
-use crate::ssam::{run_ssam_traced, SsamConfig};
+use crate::ssam::{run_ssam_traced, SsamConfig, WinningBid};
 use crate::wsp::WspInstance;
 use edge_common::id::{BidId, MicroserviceId};
 use edge_common::units::Price;
@@ -319,37 +319,6 @@ pub fn run_msoa_traced(
     config: &MsoaConfig,
     trace: Trace<'_>,
 ) -> Result<MsoaOutcome, AuctionError> {
-    run_msoa_impl(instance, config, trace, true)
-}
-
-/// [`run_msoa_traced`] with the incremental scaled-bid buffer disabled —
-/// every round rebuilds the slots from scratch. This is the *cold
-/// oracle* for the differential suite: same code path, same emission
-/// order, only the patching optimization turned off, so outcomes and
-/// traces must be byte-identical to the incremental run.
-#[cfg(feature = "ssam-reference")]
-#[doc(hidden)]
-pub fn run_msoa_cold_traced(
-    instance: &MultiRoundInstance,
-    config: &MsoaConfig,
-    trace: Trace<'_>,
-) -> Result<MsoaOutcome, AuctionError> {
-    run_msoa_impl(instance, config, trace, false)
-}
-
-/// Per-seller inputs the round evaluation reads, packed for the
-/// [`RoundBuffer`]'s dirty check: window membership this round, the ψ
-/// bits, and consumed capacity. Floats are compared as bits.
-type MsoaCtx = (bool, u64, u64);
-
-fn run_msoa_impl(
-    instance: &MultiRoundInstance,
-    config: &MsoaConfig,
-    trace: Trace<'_>,
-    incremental: bool,
-) -> Result<MsoaOutcome, AuctionError> {
-    use crate::round_buffer::{RoundBuffer, Slot};
-
     let sellers = instance.sellers();
     let alpha = resolve_alpha(instance, config);
     let beta = instance.beta();
@@ -365,9 +334,7 @@ fn run_msoa_impl(
 
     let index_of: BTreeMap<MicroserviceId, usize> =
         sellers.iter().enumerate().map(|(i, s)| (s.id, i)).collect();
-    let mut psi = vec![0.0f64; sellers.len()];
-    let mut chi = vec![0u64; sellers.len()];
-    let mut buffer: RoundBuffer<MsoaCtx> = RoundBuffer::new(sellers.len());
+    let mut ledger = Ledger::new(sellers, alpha);
     let live = crate::live::AuctionLive::handle();
     let capacity_sum: u64 = sellers.iter().map(|s| s.capacity).sum();
 
@@ -384,175 +351,94 @@ fn run_msoa_impl(
             ]
         });
         // Candidate filter: availability window and remaining capacity
-        // (Alg. 2 lines 5–6); price scaling (line 8). Evaluated through
-        // the incrementally-patched buffer: a seller's slots are only
-        // recomputed when its (window, ψ, χ) context changed since the
-        // previous round — the evaluation is a pure function of that
-        // context and the bid, so patched and cold rounds produce
-        // identical bits. Trace emission below is never skipped.
-        if !incremental {
-            buffer.invalidate();
-        }
-        let seller_ctx: Vec<MsoaCtx> = sellers
-            .iter()
-            .enumerate()
-            .map(|(si, s)| (s.available_at(t), psi[si].to_bits(), chi[si]))
-            .collect();
+        // (Alg. 2 lines 5–6); price scaling (line 8). One pass in input
+        // order.
         let patch_span = edge_telemetry::spans::enter("patch");
-        let (slots, originals, patch_stats) = buffer.round(
-            &input.bids,
-            &seller_ctx,
-            |b| index_of[&b.seller],
-            |si, bid| {
-                if !seller_ctx[si].0 {
-                    return Slot::Excluded("window");
-                }
-                if chi[si] + bid.amount > sellers[si].capacity {
-                    return Slot::Excluded("capacity");
-                }
-                Slot::Scaled(Price::new_unchecked(
-                    bid.price.value() + bid.amount as f64 * psi[si],
-                ))
-            },
-        );
-        // Patch accounting is a pure function of the workload (which
-        // sellers' ψ/χ/window contexts changed) — deterministic side.
-        if edge_telemetry::spans::is_enabled() {
-            edge_telemetry::spans::ctr("rebuilds", u64::from(patch_stats.rebuilt));
-            edge_telemetry::spans::ctr("dirty_sellers", patch_stats.dirty_sellers);
-            edge_telemetry::spans::ctr("patched_slots", patch_stats.patched_slots);
-            edge_telemetry::spans::ctr("total_slots", patch_stats.total_slots);
-        }
-        drop(patch_span);
-        let mut scaled_bids = Vec::new();
-        for (bid, &(si, slot)) in input.bids.iter().zip(slots) {
-            match slot {
-                Slot::Excluded("capacity") => {
-                    trace.emit_with(Level::Debug, "bid.excluded", || {
-                        vec![
-                            ("round", Value::from(t)),
-                            ("seller", Value::from(bid.seller.index())),
-                            ("bid", Value::from(bid.id.index())),
-                            ("reason", Value::from("capacity")),
-                            ("chi", Value::from(chi[si])),
+        let mut admitted = Admitted::with_capacity(input.bids.len());
+        for (pos, bid) in input.bids.iter().enumerate() {
+            let si = index_of[&bid.seller];
+            let window = sellers[si].available_at(t);
+            if !window || !ledger.fits(si, bid.amount) {
+                trace.emit_with(Level::Debug, "bid.excluded", || {
+                    let mut fields = vec![
+                        ("round", Value::from(t)),
+                        ("seller", Value::from(bid.seller.index())),
+                        ("bid", Value::from(bid.id.index())),
+                        (
+                            "reason",
+                            Value::from(if window { "capacity" } else { "window" }),
+                        ),
+                    ];
+                    if window {
+                        fields.extend([
+                            ("chi", Value::from(ledger.chi[si])),
                             ("amount", Value::from(bid.amount)),
                             ("capacity", Value::from(sellers[si].capacity)),
-                        ]
-                    });
-                }
-                Slot::Excluded(reason) => {
-                    trace.emit_with(Level::Debug, "bid.excluded", || {
-                        vec![
-                            ("round", Value::from(t)),
-                            ("seller", Value::from(bid.seller.index())),
-                            ("bid", Value::from(bid.id.index())),
-                            ("reason", Value::from(reason)),
-                        ]
-                    });
-                }
-                Slot::Scaled(scaled) => {
-                    trace.emit_with(Level::Debug, "bid.scaled", || {
-                        vec![
-                            ("round", Value::from(t)),
-                            ("seller", Value::from(bid.seller.index())),
-                            ("bid", Value::from(bid.id.index())),
-                            ("amount", Value::from(bid.amount)),
-                            ("true_price", Value::from(bid.price.value())),
-                            ("psi", Value::from(psi[si])),
-                            ("psi_adjust", Value::from(bid.amount as f64 * psi[si])),
-                            ("scaled_price", Value::from(scaled.value())),
-                        ]
-                    });
-                    scaled_bids.push(Bid {
-                        seller: bid.seller,
-                        id: bid.id,
-                        amount: bid.amount,
-                        price: scaled,
-                    });
-                }
+                        ]);
+                    }
+                    fields
+                });
+                continue;
             }
+            let psi_adjust = ledger.psi_adjust(si, bid.amount);
+            let scaled = Price::new_unchecked(bid.price.value() + psi_adjust);
+            trace.emit_with(Level::Debug, "bid.scaled", || {
+                vec![
+                    ("round", Value::from(t)),
+                    ("seller", Value::from(bid.seller.index())),
+                    ("bid", Value::from(bid.id.index())),
+                    ("amount", Value::from(bid.amount)),
+                    ("true_price", Value::from(bid.price.value())),
+                    ("psi", Value::from(ledger.psi[si])),
+                    ("psi_adjust", Value::from(psi_adjust)),
+                    ("scaled_price", Value::from(scaled.value())),
+                ]
+            });
+            admitted.push(pos, bid, scaled);
         }
+        drop(patch_span);
 
         let demand = input.estimated_demand;
-        let ssam_input = WspInstance::new(demand, scaled_bids);
-        // The nested single-stage auction inherits the trace with the
-        // round index stamped onto every one of its events.
-        let scoped = trace
-            .sink()
-            .map(|s| Scoped::new(s, vec![("round", Value::from(t))]));
-        let ssam_trace = match &scoped {
-            Some(s) => Trace::new(s),
-            None => Trace::off(),
-        };
         let pricing_before = edge_telemetry::pricing::snapshot();
-        let outcome = match ssam_input {
-            Ok(inst) => match run_ssam_traced(&inst, &config.ssam, ssam_trace) {
-                Ok(o) => Some(o),
-                Err(AuctionError::InfeasibleDemand { .. }) => None,
-                Err(e) => return Err(e),
-            },
-            Err(AuctionError::InfeasibleDemand { .. }) => None,
-            Err(e) => return Err(e),
-        };
-
-        let result = match outcome {
-            None => RoundResult {
-                round: t,
-                demand,
-                winners: Vec::new(),
-                social_cost: Price::ZERO,
-                total_payment: Price::ZERO,
-                infeasible: demand > 0,
-            },
-            Some(o) => {
-                let mut winners = Vec::with_capacity(o.winners.len());
-                for w in &o.winners {
-                    let original = &input.bids[originals[&(w.seller, w.bid)]];
-                    let si = index_of[&w.seller];
-                    // Line 11: multiplicative ψ update for winners.
-                    let theta = sellers[si].capacity as f64;
-                    let a = original.amount as f64;
-                    let psi_before = psi[si];
-                    psi[si] = psi[si] * (1.0 + a / (alpha * theta))
-                        + original.price.value() * a / (alpha * theta * theta);
-                    // Line 12: capacity consumption.
-                    chi[si] += original.amount;
-                    trace.emit_with(Level::Debug, "winner", || {
-                        vec![
-                            ("round", Value::from(t)),
-                            ("seller", Value::from(w.seller.index())),
-                            ("bid", Value::from(w.bid.index())),
-                            ("amount", Value::from(original.amount)),
-                            ("contribution", Value::from(w.contribution)),
-                            ("true_price", Value::from(original.price.value())),
-                            ("scaled_price", Value::from(w.price.value())),
-                            ("payment", Value::from(w.payment.value())),
-                            ("psi_before", Value::from(psi_before)),
-                            ("psi_after", Value::from(psi[si])),
-                            ("chi_after", Value::from(chi[si])),
-                        ]
-                    });
-                    winners.push(MsoaWinner {
-                        seller: w.seller,
-                        bid: w.bid,
-                        amount: original.amount,
-                        contribution: w.contribution,
-                        true_price: original.price,
-                        scaled_price: w.price,
-                        payment: w.payment,
-                    });
-                }
-                let social_cost: Price = winners.iter().map(|w| w.true_price).sum();
-                let total_payment: Price = winners.iter().map(|w| w.payment).sum();
-                RoundResult {
-                    round: t,
-                    demand,
-                    winners,
-                    social_cost,
-                    total_payment,
-                    infeasible: false,
-                }
-            }
+        let stage = run_stage(demand, admitted, &input.bids, &config.ssam, t, trace)?;
+        let infeasible = stage.is_none() && demand > 0;
+        let mut winners = Vec::new();
+        for (w, original) in stage.into_iter().flatten() {
+            let si = index_of[&w.seller];
+            let psi_before = ledger.psi[si];
+            ledger.settle_win(si, original.amount, original.price);
+            trace.emit_with(Level::Debug, "winner", || {
+                vec![
+                    ("round", Value::from(t)),
+                    ("seller", Value::from(w.seller.index())),
+                    ("bid", Value::from(w.bid.index())),
+                    ("amount", Value::from(original.amount)),
+                    ("contribution", Value::from(w.contribution)),
+                    ("true_price", Value::from(original.price.value())),
+                    ("scaled_price", Value::from(w.price.value())),
+                    ("payment", Value::from(w.payment.value())),
+                    ("psi_before", Value::from(psi_before)),
+                    ("psi_after", Value::from(ledger.psi[si])),
+                    ("chi_after", Value::from(ledger.chi[si])),
+                ]
+            });
+            winners.push(MsoaWinner {
+                seller: w.seller,
+                bid: w.bid,
+                amount: original.amount,
+                contribution: w.contribution,
+                true_price: original.price,
+                scaled_price: w.price,
+                payment: w.payment,
+            });
+        }
+        let result = RoundResult {
+            round: t,
+            demand,
+            social_cost: winners.iter().map(|w| w.true_price).sum(),
+            total_payment: winners.iter().map(|w| w.payment).sum(),
+            winners,
+            infeasible,
         };
         trace.emit_with(Level::Info, "round.end", || {
             vec![
@@ -567,7 +453,7 @@ fn run_msoa_impl(
         // events, so neither outcomes nor traces can be perturbed.
         let pricing_delta = edge_telemetry::pricing::snapshot().delta_since(&pricing_before);
         let supplied: u64 = result.winners.iter().map(|w| w.amount).sum();
-        let psi_max = psi.iter().copied().fold(0.0f64, f64::max);
+        let psi_max = ledger.psi.iter().copied().fold(0.0f64, f64::max);
         live.record_round(
             result.winners.len(),
             result.infeasible,
@@ -576,7 +462,7 @@ fn run_msoa_impl(
             result.total_payment.value(),
             result.social_cost.value(),
             psi_max,
-            chi.iter().sum(),
+            ledger.chi.iter().sum(),
             capacity_sum,
             &pricing_delta,
         );
@@ -604,16 +490,141 @@ fn run_msoa_impl(
         rounds,
         social_cost,
         total_payment,
-        psi,
-        chi,
+        psi: ledger.psi,
+        chi: ledger.chi,
         alpha,
         beta,
         competitive_bound,
     })
 }
 
+/// The per-seller ledger Alg. 2 keeps across rounds, in seller-table
+/// order: capacity Θ_i, the dual variable ψ_i and the units yielded χ_i,
+/// plus the α of the ψ update. Every MSOA round loop (this module's,
+/// [`crate::recovery`]'s and [`crate::msoa_multi`]'s) filters and
+/// settles through it, so an empty fault plan reproduces plain MSOA from
+/// the same float operations.
+#[derive(Debug)]
+pub(crate) struct Ledger {
+    theta: Vec<u64>,
+    pub(crate) psi: Vec<f64>,
+    pub(crate) chi: Vec<u64>,
+    alpha: f64,
+}
+
+impl Ledger {
+    pub(crate) fn new(sellers: &[Seller], alpha: f64) -> Self {
+        Ledger {
+            theta: sellers.iter().map(|s| s.capacity).collect(),
+            psi: vec![0.0; sellers.len()],
+            chi: vec![0; sellers.len()],
+            alpha,
+        }
+    }
+
+    /// Line 5's capacity test `χ_i + a_ij ≤ Θ_i`, written so that no
+    /// amount can wrap it.
+    pub(crate) fn fits(&self, si: usize, amount: u64) -> bool {
+        amount <= self.theta[si].saturating_sub(self.chi[si])
+    }
+
+    /// Line 8's ψ term `a_ij · ψ_i`, added to the true price.
+    pub(crate) fn psi_adjust(&self, si: usize, amount: u64) -> f64 {
+        amount as f64 * self.psi[si]
+    }
+
+    /// Lines 11–12 for a bid of `amount` units won at true price
+    /// `price`: the multiplicative ψ update, then capacity consumption.
+    pub(crate) fn settle_win(&mut self, si: usize, amount: u64, price: Price) {
+        let theta = self.theta[si] as f64;
+        let a = amount as f64;
+        self.psi[si] = self.psi[si] * (1.0 + a / (self.alpha * theta))
+            + price.value() * a / (self.alpha * theta * theta);
+        self.chi[si] += amount;
+    }
+}
+
+/// The bids a round admitted to its auction: their scaled copies in
+/// input order, and the position each one holds in the round's input.
+#[derive(Debug, Default)]
+pub(crate) struct Admitted {
+    scaled: Vec<Bid>,
+    positions: Vec<usize>,
+}
+
+impl Admitted {
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        Admitted {
+            scaled: Vec::with_capacity(n),
+            positions: Vec::with_capacity(n),
+        }
+    }
+
+    /// Admits the input bid at `pos` at the given scaled price.
+    pub(crate) fn push(&mut self, pos: usize, bid: &Bid, price: Price) {
+        self.scaled.push(Bid { price, ..*bid });
+        self.positions.push(pos);
+    }
+}
+
+/// Runs one SSAM stage over the admitted bids and pairs each winner, in
+/// selection order, with the input bid it competed with. Infeasible
+/// demand maps to `None`; any other error propagates. The nested
+/// auction's trace events are stamped with the round index.
+pub(crate) fn run_stage<'a>(
+    demand: u64,
+    admitted: Admitted,
+    input: &'a [Bid],
+    config: &SsamConfig,
+    t: u64,
+    trace: Trace<'_>,
+) -> Result<Option<Vec<(WinningBid, &'a Bid)>>, AuctionError> {
+    let scoped = trace
+        .sink()
+        .map(|s| Scoped::new(s, vec![("round", Value::from(t))]));
+    let ssam_trace = scoped.as_ref().map_or(Trace::off(), |s| Trace::new(s));
+    let cleared = WspInstance::new(demand, admitted.scaled)
+        .and_then(|inst| run_ssam_traced(&inst, config, ssam_trace));
+    let outcome = match cleared {
+        Ok(o) => o,
+        Err(AuctionError::InfeasibleDemand { .. }) => return Ok(None),
+        Err(e) => return Err(e),
+    };
+    let originals = resolve_winners(&outcome.winners, &admitted.positions, input);
+    Ok(Some(outcome.winners.into_iter().zip(originals).collect()))
+}
+
+/// Finds, for each winner, the admitted input bid it competed with.
+///
+/// The lookup is keyed by the winners alone and the admitted positions
+/// are walked once, so the cost is one small-map probe per admitted bid
+/// and nothing is built per bid. Admitted `(seller, bid)` keys are
+/// unique — [`WspInstance::new`] rejects duplicates — so an excluded
+/// copy of a winning key can never be mistaken for the winner.
+fn resolve_winners<'a>(
+    winners: &[WinningBid],
+    positions: &[usize],
+    input: &'a [Bid],
+) -> Vec<&'a Bid> {
+    let mut pending: BTreeMap<(MicroserviceId, BidId), usize> = winners
+        .iter()
+        .enumerate()
+        .map(|(i, w)| ((w.seller, w.bid), i))
+        .collect();
+    let mut originals = vec![None; winners.len()];
+    for bid in positions.iter().map(|&pos| &input[pos]) {
+        if let Some(i) = pending.remove(&(bid.seller, bid.id)) {
+            originals[i] = Some(bid);
+        }
+    }
+    originals
+        .into_iter()
+        .map(|o| o.expect("every SSAM winner is an admitted bid"))
+        .collect()
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn bid(seller: usize, id: usize, amount: u64, price: f64) -> Bid {
@@ -789,6 +800,55 @@ mod tests {
         let a = run_msoa(&instance, &MsoaConfig::default()).unwrap();
         let b = run_msoa(&instance, &MsoaConfig::default()).unwrap();
         assert_eq!(a, b);
+    }
+
+    /// Seller 0 (Θ = 10) bids id 0 twice in one round; the second copy
+    /// is excluded for capacity and the first wins.
+    pub(crate) fn repeated_bid_id_instance() -> MultiRoundInstance {
+        let round = RoundInput::new(2, 2, vec![bid(0, 0, 2, 1.0), bid(0, 0, 50, 0.5)]);
+        MultiRoundInstance::new(vec![seller(0, 10, (0, 0))], vec![round]).unwrap()
+    }
+
+    /// Seller 0 (Θ = 10) wins 2 units in round 0, then bids 2⁶⁴ − 2
+    /// units in round 1, where seller 1 can cover the demand alone.
+    /// Seller 2 bids only in round 1, as a spare for backfill.
+    pub(crate) fn huge_amount_instance() -> MultiRoundInstance {
+        let huge = vec![
+            bid(0, 0, u64::MAX - 1, 1.0),
+            bid(1, 0, 2, 5.0),
+            bid(2, 0, 2, 9.0),
+        ];
+        let rounds = vec![
+            RoundInput::new(2, 2, vec![bid(0, 0, 2, 1.0), bid(1, 0, 2, 5.0)]),
+            RoundInput::new(2, 2, huge),
+        ];
+        MultiRoundInstance::new((0..3).map(|s| seller(s, 10, (0, 1))).collect(), rounds).unwrap()
+    }
+
+    /// How the trace records seller 0's huge round-1 bid failing the
+    /// capacity test.
+    pub(crate) const HUGE_BID_EXCLUDED: &str =
+        r#""fields":{"round":1,"seller":0,"bid":0,"reason":"capacity""#;
+
+    #[test]
+    fn winner_settles_against_the_bid_that_competed() {
+        let out = run_msoa(&repeated_bid_id_instance(), &MsoaConfig::pinned(2.0)).unwrap();
+        let w = &out.rounds[0].winners[0];
+        assert_eq!((w.amount, w.true_price.value()), (2, 1.0));
+        assert_eq!(out.chi[0], 2, "χ must stay within Θ");
+        assert_eq!(out.social_cost.value(), 1.0);
+    }
+
+    #[test]
+    fn capacity_filter_cannot_wrap() {
+        let collector = edge_telemetry::Collector::new();
+        let config = MsoaConfig::pinned(2.0);
+        let out = run_msoa_traced(&huge_amount_instance(), &config, Trace::new(&collector));
+        let out = out.unwrap();
+        assert!(collector.deterministic_jsonl().contains(HUGE_BID_EXCLUDED));
+        assert!(!out.rounds[1].infeasible);
+        assert_eq!(out.rounds[1].winners[0].seller, MicroserviceId::new(1));
+        assert_eq!(out.chi[0], 2);
     }
 
     #[test]

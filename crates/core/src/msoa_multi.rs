@@ -38,6 +38,7 @@
 
 use crate::bid::Seller;
 use crate::error::AuctionError;
+use crate::msoa::Ledger;
 use crate::multi_buyer::{run_ssam_multi, CoverBid, MultiBuyerOutcome, MultiBuyerWsp};
 use crate::ssam::SsamConfig;
 use edge_common::id::MicroserviceId;
@@ -163,8 +164,7 @@ pub fn run_msoa_multi_traced(
         (harmonic * spread).max(1.0)
     });
 
-    let mut psi = vec![0.0f64; sellers.len()];
-    let mut chi = vec![0u64; sellers.len()];
+    let mut ledger = Ledger::new(sellers, alpha);
     let mut results = Vec::with_capacity(rounds.len());
 
     for (t, round) in rounds.iter().enumerate() {
@@ -196,7 +196,7 @@ pub fn run_msoa_multi_traced(
                 });
                 continue;
             }
-            if chi[si] + bid.total_amount() > sellers[si].capacity {
+            if !ledger.fits(si, bid.total_amount()) {
                 trace.emit_with(Level::Debug, "bid.excluded", || {
                     vec![
                         ("round", Value::from(t)),
@@ -209,14 +209,15 @@ pub fn run_msoa_multi_traced(
             }
             let mut b = bid.clone();
             true_prices.insert((b.seller, b.id.index()), b.price);
-            b.price = Price::new_unchecked(b.price.value() + b.total_amount() as f64 * psi[si]);
+            b.price =
+                Price::new_unchecked(b.price.value() + ledger.psi_adjust(si, b.total_amount()));
             trace.emit_with(Level::Debug, "bid.scaled", || {
                 vec![
                     ("round", Value::from(t)),
                     ("seller", Value::from(bid.seller.index())),
                     ("bid", Value::from(bid.id.index())),
                     ("true_price", Value::from(bid.price.value())),
-                    ("psi", Value::from(psi[si])),
+                    ("psi", Value::from(ledger.psi[si])),
                     ("scaled_price", Value::from(b.price.value())),
                 ]
             });
@@ -237,12 +238,8 @@ pub fn run_msoa_multi_traced(
                 .find(|b| b.seller == w.seller && b.id == w.bid)
                 .map(CoverBid::total_amount)
                 .unwrap_or(0);
-            let theta = sellers[si].capacity as f64;
-            let a = amount as f64;
-            let psi_before = psi[si];
-            psi[si] = psi[si] * (1.0 + a / (alpha * theta))
-                + true_price.value() * a / (alpha * theta * theta);
-            chi[si] += amount;
+            let psi_before = ledger.psi[si];
+            ledger.settle_win(si, amount, true_price);
             social_cost += true_price;
             trace.emit_with(Level::Debug, "winner", || {
                 vec![
@@ -254,8 +251,8 @@ pub fn run_msoa_multi_traced(
                     ("scaled_price", Value::from(w.price.value())),
                     ("payment", Value::from(w.payment.value())),
                     ("psi_before", Value::from(psi_before)),
-                    ("psi_after", Value::from(psi[si])),
-                    ("chi_after", Value::from(chi[si])),
+                    ("psi_after", Value::from(ledger.psi[si])),
+                    ("chi_after", Value::from(ledger.chi[si])),
                 ]
             });
         }
@@ -280,8 +277,8 @@ pub fn run_msoa_multi_traced(
         rounds: results,
         social_cost,
         total_payment,
-        psi,
-        chi,
+        psi: ledger.psi,
+        chi: ledger.chi,
         alpha,
     })
 }

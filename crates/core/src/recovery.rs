@@ -68,16 +68,15 @@
 //! # }
 //! ```
 
-use crate::bid::Bid;
+use crate::bid::{Bid, Seller};
 use crate::error::AuctionError;
-use crate::msoa::{resolve_alpha, MsoaConfig, MultiRoundInstance};
-use crate::ssam::run_ssam_traced;
-use crate::wsp::WspInstance;
+use crate::msoa::{resolve_alpha, run_stage, Admitted, Ledger, MsoaConfig, MultiRoundInstance};
+use crate::ssam::WinningBid;
 use edge_common::id::{BidId, MicroserviceId};
 use edge_common::indicator::{Indicator, ObservedIndicators};
 use edge_common::rng::derive_rng;
 use edge_common::units::Price;
-use edge_telemetry::{Level, Scoped, Trace, Value};
+use edge_telemetry::{Level, Trace, Value};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -409,57 +408,184 @@ impl FaultyMsoaOutcome {
     }
 }
 
-/// Internal per-run mutable market state shared by the primary auction
-/// and the backfill ladder.
-struct MarketState {
-    psi: Vec<f64>,
-    chi: Vec<u64>,
+/// One faulty run's fixed inputs and evolving market state, shared by
+/// the primary auction and the backfill ladder.
+struct Market<'a> {
+    sellers: &'a [Seller],
+    index_of: BTreeMap<MicroserviceId, usize>,
+    plan: &'a FaultPlan,
+    recovery: &'a RecoveryConfig,
+    trace: Trace<'a>,
+    ledger: Ledger,
     rho: Vec<f64>,
     blacklisted: Vec<bool>,
-    alpha: f64,
 }
 
-impl MarketState {
-    /// The ψ update of Alg. 2 line 11 plus χ consumption (line 12) —
-    /// float-op order identical to `run_msoa`'s, so an empty plan stays
-    /// bit-equal.
-    fn settle_win(&mut self, si: usize, theta: f64, bid: &Bid) {
-        let a = bid.amount as f64;
-        self.psi[si] = self.psi[si] * (1.0 + a / (self.alpha * theta))
-            + bid.price.value() * a / (self.alpha * theta * theta);
-        self.chi[si] += bid.amount;
+/// What one round has settled so far: its winners and delivered units,
+/// and who won, defaulted or delivered in full — the backfill ladder's
+/// exclusions.
+#[derive(Default)]
+struct RoundBook {
+    winners: Vec<FaultWinner>,
+    delivered: u64,
+    won_bids: BTreeSet<(MicroserviceId, BidId)>,
+    faithful: BTreeSet<MicroserviceId>,
+    defaulters: BTreeSet<MicroserviceId>,
+}
+
+impl Market<'_> {
+    /// Why a bid is kept out of the round's auctions, checked in trace
+    /// order: crashed, outside its window, blacklisted (unless the
+    /// ladder readmits blacklisted sellers), or over capacity.
+    fn exclusion(
+        &self,
+        t: u64,
+        si: usize,
+        bid: &Bid,
+        readmit_blacklisted: bool,
+    ) -> Option<&'static str> {
+        if self.plan.crashed(t, bid.seller) {
+            Some("crashed")
+        } else if !self.sellers[si].available_at(t) {
+            Some("window")
+        } else if self.recovery.enabled && self.blacklisted[si] && !readmit_blacklisted {
+            Some("blacklisted")
+        } else if !self.ledger.fits(si, bid.amount) {
+            Some("capacity")
+        } else {
+            None
+        }
     }
 
     /// Scaled price `∇ = J + a·ψ + a·λ·(1−ρ)`. With `ρ = 1` (or the
     /// penalty disabled) the last term is exactly `0.0`, leaving the
     /// plain MSOA price bit-for-bit.
-    fn scaled_price(&self, si: usize, bid: &Bid, recovery: &RecoveryConfig) -> Price {
-        let base = bid.price.value() + bid.amount as f64 * self.psi[si];
-        let penalty = if recovery.enabled {
-            bid.amount as f64 * (recovery.reliability_weight * (1.0 - self.rho[si]))
+    fn scaled_price(&self, si: usize, bid: &Bid) -> Price {
+        let base = bid.price.value() + self.ledger.psi_adjust(si, bid.amount);
+        let penalty = if self.recovery.enabled {
+            bid.amount as f64 * (self.recovery.reliability_weight * (1.0 - self.rho[si]))
         } else {
             0.0
         };
         Price::new_unchecked(base + penalty)
     }
 
+    /// Settles one stage's winners in selection order: ψ/χ (Alg. 2
+    /// lines 11–12), delivery and clawback under the plan, and the
+    /// seller's reliability.
+    fn settle(
+        &mut self,
+        t: u64,
+        won: Vec<(WinningBid, &Bid)>,
+        backfill: bool,
+        book: &mut RoundBook,
+    ) {
+        for (w, original) in won {
+            let si = self.index_of[&w.seller];
+            self.ledger.settle_win(si, original.amount, original.price);
+            let settled = self.deliver(t, &w, original, backfill);
+            book.won_bids.insert((w.seller, w.bid));
+            if settled.delivered < settled.committed {
+                book.defaulters.insert(w.seller);
+                book.faithful.remove(&w.seller);
+            } else if !book.defaulters.contains(&w.seller) {
+                book.faithful.insert(w.seller);
+            }
+            self.emit_settlement(t, &settled, si);
+            let was_blacklisted = self.blacklisted[si];
+            self.observe_delivery(si, settled.delivered, settled.committed);
+            self.emit_reliability(t, si, was_blacklisted);
+            book.delivered += settled.delivered;
+            book.winners.push(settled);
+        }
+    }
+
+    /// Applies the plan's default (if any) to one winner: shrink the
+    /// delivery, claw the payment back pro-rata when recovery is on.
+    fn deliver(&self, t: u64, w: &WinningBid, original: &Bid, backfill: bool) -> FaultWinner {
+        let committed = w.contribution;
+        let delivered = match self.plan.delivered_fraction(t, original.seller) {
+            Some(frac) => {
+                let frac = frac.clamp(0.0, 1.0);
+                ((frac * committed as f64).floor() as u64).min(committed)
+            }
+            None => committed,
+        };
+        let payment_made = if self.recovery.enabled && delivered < committed && committed > 0 {
+            Price::new_unchecked(w.payment.value() * delivered as f64 / committed as f64)
+        } else {
+            w.payment
+        };
+        FaultWinner {
+            seller: original.seller,
+            bid: original.id,
+            amount: original.amount,
+            committed,
+            delivered,
+            true_price: original.price,
+            scaled_price: w.price,
+            payment_due: w.payment,
+            payment_made,
+            backfill,
+        }
+    }
+
     /// EMA reliability update after a (possibly partial) delivery, plus
     /// the blacklist check.
-    fn observe_delivery(
-        &mut self,
-        si: usize,
-        delivered: u64,
-        committed: u64,
-        recovery: &RecoveryConfig,
-    ) {
+    fn observe_delivery(&mut self, si: usize, delivered: u64, committed: u64) {
         if committed == 0 {
             return;
         }
         let ratio = delivered as f64 / committed as f64;
-        let eta = recovery.reliability_smoothing.clamp(0.0, 1.0);
+        let eta = self.recovery.reliability_smoothing.clamp(0.0, 1.0);
         self.rho[si] = (1.0 - eta) * self.rho[si] + eta * ratio;
-        if recovery.enabled && self.rho[si] < recovery.blacklist_threshold {
+        if self.recovery.enabled && self.rho[si] < self.recovery.blacklist_threshold {
             self.blacklisted[si] = true;
+        }
+    }
+
+    /// Records one winner's settlement on the trace: what it committed,
+    /// delivered, was owed, and was actually paid.
+    fn emit_settlement(&self, t: u64, w: &FaultWinner, si: usize) {
+        self.trace.emit_with(Level::Debug, "settlement", || {
+            vec![
+                ("round", Value::from(t)),
+                ("seller", Value::from(w.seller.index())),
+                ("bid", Value::from(w.bid.index())),
+                ("backfill", Value::from(w.backfill)),
+                ("committed", Value::from(w.committed)),
+                ("delivered", Value::from(w.delivered)),
+                ("payment_due", Value::from(w.payment_due.value())),
+                ("payment_made", Value::from(w.payment_made.value())),
+                (
+                    "clawback",
+                    Value::from(w.payment_due.value() - w.payment_made.value()),
+                ),
+                ("psi_after", Value::from(self.ledger.psi[si])),
+                ("chi_after", Value::from(self.ledger.chi[si])),
+            ]
+        });
+    }
+
+    /// Records the post-delivery reliability score, and a `blacklist`
+    /// event on the transition into the blacklist.
+    fn emit_reliability(&self, t: u64, si: usize, was_blacklisted: bool) {
+        self.trace
+            .emit_with(Level::Debug, "reliability.update", || {
+                vec![
+                    ("round", Value::from(t)),
+                    ("seller", Value::from(si)),
+                    ("rho", Value::from(self.rho[si])),
+                ]
+            });
+        if self.blacklisted[si] && !was_blacklisted {
+            self.trace.emit_with(Level::Info, "blacklist", || {
+                vec![
+                    ("round", Value::from(t)),
+                    ("seller", Value::from(si)),
+                    ("rho", Value::from(self.rho[si])),
+                ]
+            });
         }
     }
 }
@@ -501,41 +627,6 @@ pub fn run_msoa_with_faults_traced(
     recovery: &RecoveryConfig,
     trace: Trace<'_>,
 ) -> Result<FaultyMsoaOutcome, AuctionError> {
-    run_msoa_with_faults_impl(instance, config, plan, recovery, trace, true)
-}
-
-/// [`run_msoa_with_faults_traced`] with the incremental scaled-bid
-/// buffer disabled — the cold oracle for the differential suite. Same
-/// code path and emission order as the incremental run, only the
-/// patching turned off; outcomes and traces must be byte-identical.
-#[cfg(feature = "ssam-reference")]
-#[doc(hidden)]
-pub fn run_msoa_with_faults_cold_traced(
-    instance: &MultiRoundInstance,
-    config: &MsoaConfig,
-    plan: &FaultPlan,
-    recovery: &RecoveryConfig,
-    trace: Trace<'_>,
-) -> Result<FaultyMsoaOutcome, AuctionError> {
-    run_msoa_with_faults_impl(instance, config, plan, recovery, trace, false)
-}
-
-/// Per-seller inputs the primary-auction evaluation reads, packed for
-/// the [`RoundBuffer`]'s dirty check: window membership, crash status,
-/// effective blacklisting, ψ bits, ρ bits, and consumed capacity.
-/// Floats are compared as bits.
-type FaultCtx = (bool, bool, bool, u64, u64, u64);
-
-fn run_msoa_with_faults_impl(
-    instance: &MultiRoundInstance,
-    config: &MsoaConfig,
-    plan: &FaultPlan,
-    recovery: &RecoveryConfig,
-    trace: Trace<'_>,
-    incremental: bool,
-) -> Result<FaultyMsoaOutcome, AuctionError> {
-    use crate::round_buffer::{RoundBuffer, Slot};
-
     let sellers = instance.sellers();
     let alpha = resolve_alpha(instance, config);
     let beta = instance.beta();
@@ -554,16 +645,16 @@ fn run_msoa_with_faults_impl(
         ]
     });
 
-    let index_of: BTreeMap<MicroserviceId, usize> =
-        sellers.iter().enumerate().map(|(i, s)| (s.id, i)).collect();
-    let mut state = MarketState {
-        psi: vec![0.0; sellers.len()],
-        chi: vec![0; sellers.len()],
+    let mut market = Market {
+        sellers,
+        index_of: sellers.iter().enumerate().map(|(i, s)| (s.id, i)).collect(),
+        plan,
+        recovery,
+        trace,
+        ledger: Ledger::new(sellers, alpha),
         rho: vec![1.0; sellers.len()],
         blacklisted: vec![false; sellers.len()],
-        alpha,
     };
-    let mut buffer: RoundBuffer<FaultCtx> = RoundBuffer::new(sellers.len());
     let auction_live = crate::live::AuctionLive::handle();
     let recovery_live = crate::live::RecoveryLive::handle();
     let capacity_sum: u64 = sellers.iter().map(|s| s.capacity).sum();
@@ -576,13 +667,7 @@ fn run_msoa_with_faults_impl(
         let demand = input.estimated_demand;
         let observed = plan.observed(t);
         let pricing_before = edge_telemetry::pricing::snapshot();
-
-        // Sellers and bids already used this round, for the exclusion
-        // ladder.
-        let mut won_bids: BTreeSet<(MicroserviceId, BidId)> = BTreeSet::new();
-        let mut faithful_winners: BTreeSet<MicroserviceId> = BTreeSet::new();
-        let mut defaulters: BTreeSet<MicroserviceId> = BTreeSet::new();
-        let mut winners: Vec<FaultWinner> = Vec::new();
+        let mut book = RoundBook::default();
 
         trace.emit_with(Level::Info, "round.start", || {
             vec![
@@ -593,131 +678,49 @@ fn run_msoa_with_faults_impl(
         });
 
         // --- Primary auction (Alg. 2 lines 5–8 plus fault filters). ---
-        // Evaluated through the incrementally-patched buffer: a
-        // seller's slots are only recomputed when its (window, crash,
-        // blacklist, ψ, ρ, χ) context changed since the previous round.
-        // The evaluation is a pure function of that context and the
-        // bid, so patched and cold rounds produce identical bits; trace
-        // emission below is never skipped. The backfill ladder stays
-        // cold — its candidate set depends on intra-round settlement.
-        if !incremental {
-            buffer.invalidate();
-        }
-        let seller_ctx: Vec<FaultCtx> = sellers
-            .iter()
-            .enumerate()
-            .map(|(si, s)| {
-                (
-                    s.available_at(t),
-                    plan.crashed(t, s.id),
-                    recovery.enabled && state.blacklisted[si],
-                    state.psi[si].to_bits(),
-                    state.rho[si].to_bits(),
-                    state.chi[si],
-                )
-            })
-            .collect();
+        // One pass in input order; the first failing filter names the
+        // exclusion.
         let patch_span = edge_telemetry::spans::enter("patch");
-        let (slots, originals, patch_stats) = buffer.round(
-            &input.bids,
-            &seller_ctx,
-            |b| index_of[&b.seller],
-            |si, bid| {
-                let (window_ok, crashed, blacklisted, _, _, chi) = seller_ctx[si];
-                if crashed {
-                    return Slot::Excluded("crashed");
-                }
-                if !window_ok {
-                    return Slot::Excluded("window");
-                }
-                if blacklisted {
-                    return Slot::Excluded("blacklisted");
-                }
-                if chi + bid.amount > sellers[si].capacity {
-                    return Slot::Excluded("capacity");
-                }
-                Slot::Scaled(state.scaled_price(si, bid, recovery))
-            },
-        );
-        if edge_telemetry::spans::is_enabled() {
-            edge_telemetry::spans::ctr("rebuilds", u64::from(patch_stats.rebuilt));
-            edge_telemetry::spans::ctr("dirty_sellers", patch_stats.dirty_sellers);
-            edge_telemetry::spans::ctr("patched_slots", patch_stats.patched_slots);
-            edge_telemetry::spans::ctr("total_slots", patch_stats.total_slots);
+        let mut admitted = Admitted::with_capacity(input.bids.len());
+        for (pos, bid) in input.bids.iter().enumerate() {
+            let si = market.index_of[&bid.seller];
+            if let Some(reason) = market.exclusion(t, si, bid, false) {
+                trace.emit_with(Level::Debug, "bid.excluded", || {
+                    vec![
+                        ("round", Value::from(t)),
+                        ("seller", Value::from(bid.seller.index())),
+                        ("bid", Value::from(bid.id.index())),
+                        ("reason", Value::from(reason)),
+                    ]
+                });
+                continue;
+            }
+            let scaled = market.scaled_price(si, bid);
+            trace.emit_with(Level::Debug, "bid.scaled", || {
+                let psi_adjust = market.ledger.psi_adjust(si, bid.amount);
+                vec![
+                    ("round", Value::from(t)),
+                    ("seller", Value::from(bid.seller.index())),
+                    ("bid", Value::from(bid.id.index())),
+                    ("true_price", Value::from(bid.price.value())),
+                    ("psi_adjust", Value::from(psi_adjust)),
+                    (
+                        "reliability_adjust",
+                        Value::from(scaled.value() - bid.price.value() - psi_adjust),
+                    ),
+                    ("rho", Value::from(market.rho[si])),
+                    ("scaled_price", Value::from(scaled.value())),
+                ]
+            });
+            admitted.push(pos, bid, scaled);
         }
         drop(patch_span);
-        let mut scaled_bids = Vec::new();
-        for (bid, &(si, slot)) in input.bids.iter().zip(slots) {
-            match slot {
-                Slot::Excluded(reason) => {
-                    trace.emit_with(Level::Debug, "bid.excluded", || {
-                        vec![
-                            ("round", Value::from(t)),
-                            ("seller", Value::from(bid.seller.index())),
-                            ("bid", Value::from(bid.id.index())),
-                            ("reason", Value::from(reason)),
-                        ]
-                    });
-                }
-                Slot::Scaled(scaled) => {
-                    trace.emit_with(Level::Debug, "bid.scaled", || {
-                        let psi_adjust = bid.amount as f64 * state.psi[si];
-                        vec![
-                            ("round", Value::from(t)),
-                            ("seller", Value::from(bid.seller.index())),
-                            ("bid", Value::from(bid.id.index())),
-                            ("true_price", Value::from(bid.price.value())),
-                            ("psi_adjust", Value::from(psi_adjust)),
-                            (
-                                "reliability_adjust",
-                                Value::from(scaled.value() - bid.price.value() - psi_adjust),
-                            ),
-                            ("rho", Value::from(state.rho[si])),
-                            ("scaled_price", Value::from(scaled.value())),
-                        ]
-                    });
-                    scaled_bids.push(Bid {
-                        seller: bid.seller,
-                        id: bid.id,
-                        amount: bid.amount,
-                        price: scaled,
-                    });
-                }
-            }
-        }
-        let primary = run_stage(demand, scaled_bids, config, t, trace)?;
+        let primary = run_stage(demand, admitted, &input.bids, &config.ssam, t, trace)?;
         let primary_infeasible = primary.is_none() && demand > 0;
-        if let Some(outcome) = primary {
-            for w in &outcome.winners {
-                let original = &input.bids[originals[&(w.seller, w.bid)]];
-                let si = index_of[&w.seller];
-                state.settle_win(si, sellers[si].capacity as f64, original);
-                let settled = settle_delivery(
-                    plan,
-                    recovery,
-                    t,
-                    original,
-                    w.contribution,
-                    w.price,
-                    w.payment,
-                    false,
-                );
-                won_bids.insert((w.seller, w.bid));
-                if settled.delivered < settled.committed {
-                    defaulters.insert(w.seller);
-                } else {
-                    faithful_winners.insert(w.seller);
-                }
-                emit_settlement(trace, t, &settled, &state, si);
-                let was_blacklisted = state.blacklisted[si];
-                state.observe_delivery(si, settled.delivered, settled.committed, recovery);
-                emit_reliability(trace, t, &state, si, was_blacklisted);
-                winners.push(settled);
-            }
+        if let Some(won) = primary {
+            market.settle(t, won, false, &mut book);
         }
-
-        let mut delivered: u64 = winners.iter().map(|w| w.delivered).sum();
-        let mut shortfall = demand.saturating_sub(delivered);
+        let mut shortfall = demand.saturating_sub(book.delivered);
 
         // --- Backfill ladder (recovery only). ---
         let mut backfill_attempts = 0u64;
@@ -736,75 +739,33 @@ fn run_msoa_with_faults_impl(
                         ("shortfall", Value::from(shortfall)),
                     ]
                 });
-                let mut bids = Vec::new();
-                let mut origs: BTreeMap<(MicroserviceId, BidId), &Bid> = BTreeMap::new();
-                for bid in &input.bids {
-                    let si = index_of[&bid.seller];
-                    if !sellers[si].available_at(t) || plan.crashed(t, bid.seller) {
-                        continue;
+                // Relaxation ladder: bids that already won and
+                // defaulters never return this round; blacklisted
+                // sellers return at k ≥ 1; faithful winners' remaining
+                // bids at k ≥ 2.
+                let mut candidates = Admitted::default();
+                for (pos, bid) in input.bids.iter().enumerate() {
+                    let si = market.index_of[&bid.seller];
+                    if market.exclusion(t, si, bid, k >= 1).is_none()
+                        && !book.won_bids.contains(&(bid.seller, bid.id))
+                        && !book.defaulters.contains(&bid.seller)
+                        && (k >= 2 || !book.faithful.contains(&bid.seller))
+                    {
+                        candidates.push(pos, bid, market.scaled_price(si, bid));
                     }
-                    if won_bids.contains(&(bid.seller, bid.id)) {
-                        continue;
-                    }
-                    // Relaxation ladder: defaulters never return this
-                    // round; blacklisted sellers return at k ≥ 1;
-                    // faithful winners' remaining bids at k ≥ 2.
-                    if defaulters.contains(&bid.seller) {
-                        continue;
-                    }
-                    if state.blacklisted[si] && k < 1 {
-                        continue;
-                    }
-                    if faithful_winners.contains(&bid.seller) && k < 2 {
-                        continue;
-                    }
-                    if state.chi[si] + bid.amount > sellers[si].capacity {
-                        continue;
-                    }
-                    bids.push(Bid {
-                        seller: bid.seller,
-                        id: bid.id,
-                        amount: bid.amount,
-                        price: state.scaled_price(si, bid, recovery),
-                    });
-                    origs.insert((bid.seller, bid.id), bid);
                 }
-                let Some(outcome) = run_stage(shortfall, bids, config, t, trace)? else {
-                    // Infeasible at this rung — the attempt is spent,
-                    // the next rung relaxes further.
-                    continue;
-                };
-                for w in &outcome.winners {
-                    let original = origs[&(w.seller, w.bid)];
-                    let si = index_of[&w.seller];
-                    state.settle_win(si, sellers[si].capacity as f64, original);
-                    let settled = settle_delivery(
-                        plan,
-                        recovery,
-                        t,
-                        original,
-                        w.contribution,
-                        w.price,
-                        w.payment,
-                        true,
-                    );
-                    won_bids.insert((w.seller, w.bid));
-                    if settled.delivered < settled.committed {
-                        defaulters.insert(w.seller);
-                        faithful_winners.remove(&w.seller);
-                    } else if !defaulters.contains(&w.seller) {
-                        faithful_winners.insert(w.seller);
-                    }
-                    emit_settlement(trace, t, &settled, &state, si);
-                    let was_blacklisted = state.blacklisted[si];
-                    state.observe_delivery(si, settled.delivered, settled.committed, recovery);
-                    emit_reliability(trace, t, &state, si, was_blacklisted);
-                    delivered += settled.delivered;
-                    winners.push(settled);
+                // An infeasible rung still spends its attempt; the next
+                // rung relaxes further.
+                if let Some(won) =
+                    run_stage(shortfall, candidates, &input.bids, &config.ssam, t, trace)?
+                {
+                    market.settle(t, won, true, &mut book);
+                    shortfall = demand.saturating_sub(book.delivered);
                 }
-                shortfall = demand.saturating_sub(delivered);
             }
         }
+
+        let (winners, delivered) = (book.winners, book.delivered);
 
         let social_cost: Price = winners.iter().map(|w| w.true_price).sum();
         let platform_cost: Price = winners.iter().map(|w| w.payment_made).sum();
@@ -843,7 +804,7 @@ fn run_msoa_with_faults_impl(
         // plain MSOA).
         let pricing_delta = edge_telemetry::pricing::snapshot().delta_since(&pricing_before);
         let supplied: u64 = winners.iter().map(|w| w.committed).sum();
-        let psi_max = state.psi.iter().copied().fold(0.0f64, f64::max);
+        let psi_max = market.ledger.psi.iter().copied().fold(0.0f64, f64::max);
         auction_live.record_round(
             winners.len(),
             primary_infeasible,
@@ -852,14 +813,14 @@ fn run_msoa_with_faults_impl(
             platform_cost.value(),
             social_cost.value(),
             psi_max,
-            state.chi.iter().sum(),
+            market.ledger.chi.iter().sum(),
             capacity_sum,
             &pricing_delta,
         );
         recovery_live.record_round(
             winners.iter().filter(|w| w.delivered < w.committed).count() as u64,
             clawed_back.value(),
-            state.blacklisted.iter().filter(|&&b| b).count(),
+            market.blacklisted.iter().filter(|&&b| b).count(),
             sla_violated,
             backfill_attempts,
             shortfall,
@@ -901,10 +862,10 @@ fn run_msoa_with_faults_impl(
         social_cost,
         platform_cost,
         clawed_back,
-        reliability: state.rho,
-        blacklisted: state.blacklisted,
-        psi: state.psi,
-        chi: state.chi,
+        reliability: market.rho,
+        blacklisted: market.blacklisted,
+        psi: market.ledger.psi,
+        chi: market.ledger.chi,
         alpha,
         beta,
         shortfall_units,
@@ -912,127 +873,11 @@ fn run_msoa_with_faults_impl(
     })
 }
 
-/// Records one winner's settlement on the trace: what it committed,
-/// delivered, was owed, and was actually paid.
-fn emit_settlement(trace: Trace<'_>, t: u64, w: &FaultWinner, state: &MarketState, si: usize) {
-    trace.emit_with(Level::Debug, "settlement", || {
-        vec![
-            ("round", Value::from(t)),
-            ("seller", Value::from(w.seller.index())),
-            ("bid", Value::from(w.bid.index())),
-            ("backfill", Value::from(w.backfill)),
-            ("committed", Value::from(w.committed)),
-            ("delivered", Value::from(w.delivered)),
-            ("payment_due", Value::from(w.payment_due.value())),
-            ("payment_made", Value::from(w.payment_made.value())),
-            (
-                "clawback",
-                Value::from(w.payment_due.value() - w.payment_made.value()),
-            ),
-            ("psi_after", Value::from(state.psi[si])),
-            ("chi_after", Value::from(state.chi[si])),
-        ]
-    });
-}
-
-/// Records the post-delivery reliability score, and a `blacklist` event
-/// on the transition into the blacklist.
-fn emit_reliability(
-    trace: Trace<'_>,
-    t: u64,
-    state: &MarketState,
-    si: usize,
-    was_blacklisted: bool,
-) {
-    trace.emit_with(Level::Debug, "reliability.update", || {
-        vec![
-            ("round", Value::from(t)),
-            ("seller", Value::from(si)),
-            ("rho", Value::from(state.rho[si])),
-        ]
-    });
-    if state.blacklisted[si] && !was_blacklisted {
-        trace.emit_with(Level::Info, "blacklist", || {
-            vec![
-                ("round", Value::from(t)),
-                ("seller", Value::from(si)),
-                ("rho", Value::from(state.rho[si])),
-            ]
-        });
-    }
-}
-
-/// Runs one SSAM stage, mapping infeasible demand to `None` (graceful)
-/// and anything else to an error. The nested auction's trace events are
-/// stamped with the round index.
-fn run_stage(
-    demand: u64,
-    scaled_bids: Vec<Bid>,
-    config: &MsoaConfig,
-    t: u64,
-    trace: Trace<'_>,
-) -> Result<Option<crate::ssam::SsamOutcome>, AuctionError> {
-    let scoped = trace
-        .sink()
-        .map(|s| Scoped::new(s, vec![("round", Value::from(t))]));
-    let ssam_trace = match &scoped {
-        Some(s) => Trace::new(s),
-        None => Trace::off(),
-    };
-    match WspInstance::new(demand, scaled_bids) {
-        Ok(inst) => match run_ssam_traced(&inst, &config.ssam, ssam_trace) {
-            Ok(o) => Ok(Some(o)),
-            Err(AuctionError::InfeasibleDemand { .. }) => Ok(None),
-            Err(e) => Err(e),
-        },
-        Err(AuctionError::InfeasibleDemand { .. }) => Ok(None),
-        Err(e) => Err(e),
-    }
-}
-
-/// Applies the plan's default (if any) to one winner: shrink the
-/// delivery, claw the payment back pro-rata when recovery is on.
-#[allow(clippy::too_many_arguments)]
-fn settle_delivery(
-    plan: &FaultPlan,
-    recovery: &RecoveryConfig,
-    round: u64,
-    original: &Bid,
-    committed: u64,
-    scaled_price: Price,
-    payment_due: Price,
-    backfill: bool,
-) -> FaultWinner {
-    let delivered = match plan.delivered_fraction(round, original.seller) {
-        Some(frac) => {
-            let frac = frac.clamp(0.0, 1.0);
-            ((frac * committed as f64).floor() as u64).min(committed)
-        }
-        None => committed,
-    };
-    let payment_made = if recovery.enabled && delivered < committed && committed > 0 {
-        Price::new_unchecked(payment_due.value() * delivered as f64 / committed as f64)
-    } else {
-        payment_due
-    };
-    FaultWinner {
-        seller: original.seller,
-        bid: original.id,
-        amount: original.amount,
-        committed,
-        delivered,
-        true_price: original.price,
-        scaled_price,
-        payment_due,
-        payment_made,
-        backfill,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bid::Seller;
+    use crate::msoa::tests::{huge_amount_instance, repeated_bid_id_instance, HUGE_BID_EXCLUDED};
     use crate::msoa::{run_msoa, RoundInput};
     use edge_common::assert_money_eq;
 
@@ -1293,6 +1138,39 @@ mod tests {
             .winners
             .iter()
             .any(|w| w.seller == MicroserviceId::new(0) && w.backfill));
+    }
+
+    #[test]
+    fn winner_settles_against_the_bid_that_competed() {
+        let instance = repeated_bid_id_instance();
+        let (config, recovery) = (MsoaConfig::pinned(2.0), RecoveryConfig::default());
+        let out = run_msoa_with_faults(&instance, &config, &FaultPlan::empty(), &recovery).unwrap();
+        let w = &out.rounds[0].winners[0];
+        assert_eq!((w.amount, w.true_price.value()), (2, 1.0));
+        assert_eq!(out.chi[0], 2, "χ must stay within Θ");
+        assert_eq!(out.social_cost.value(), 1.0);
+    }
+
+    #[test]
+    fn capacity_filter_cannot_wrap_in_primary_or_backfill() {
+        // Seller 1 wins round 1's primary and delivers nothing, so the
+        // backfill ladder runs with seller 0's 2⁶⁴ − 2 unit bid among
+        // its candidates; spare seller 2 must cover instead.
+        let collector = edge_telemetry::Collector::new();
+        let out = run_msoa_with_faults_traced(
+            &huge_amount_instance(),
+            &MsoaConfig::pinned(2.0),
+            &default_at(1, 1, 0.0),
+            &RecoveryConfig::default(),
+            Trace::new(&collector),
+        )
+        .unwrap();
+        assert!(collector.deterministic_jsonl().contains(HUGE_BID_EXCLUDED));
+        let r1 = &out.rounds[1];
+        assert_eq!((r1.primary_infeasible, r1.shortfall), (false, 0));
+        let backfilled: Vec<_> = r1.winners.iter().filter(|w| w.backfill).collect();
+        assert_eq!(backfilled[0].seller, MicroserviceId::new(2));
+        assert_eq!(out.chi[0], 2);
     }
 
     #[test]

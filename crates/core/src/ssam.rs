@@ -252,7 +252,7 @@ fn seller_best(
         let e = best.entry(b.seller).or_insert(0u64);
         *e = (*e).max(b.amount);
     }
-    let supply: u64 = best.values().sum();
+    let supply = best.values().copied().fold(0, u64::saturating_add);
     if supply < instance.demand() {
         return Err(AuctionError::InfeasibleDemand {
             demand: instance.demand(),

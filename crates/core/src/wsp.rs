@@ -88,12 +88,13 @@ impl WspInstance {
         self.groups.iter().map(|g| g[0].seller).collect()
     }
 
-    /// Maximum coverable amount: best single bid per seller.
+    /// Maximum coverable amount: best single bid per seller, saturating
+    /// at `u64::MAX` rather than wrapping.
     pub fn max_supply(&self) -> u64 {
         self.groups
             .iter()
             .map(|g| g.iter().map(|b| b.amount).max().unwrap_or(0))
-            .sum()
+            .fold(0, u64::saturating_add)
     }
 
     /// Converts to the exact covering-DP form. Choice indices in the

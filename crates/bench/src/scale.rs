@@ -22,7 +22,7 @@ use crate::scenario::scale_instance;
 use crate::table::Table;
 use edge_auction::msoa::{run_msoa, MsoaConfig};
 use edge_auction::{pricing_threads_setting, set_pricing_threads};
-use edge_common::rng::derive_rng;
+use edge_common::rng::{derive_rng, fnv1a64};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -211,16 +211,6 @@ fn upgrade_v1_in_place(value: &mut serde::Value) {
             _ => {}
         }
     }
-}
-
-/// FNV-1a 64 over a byte string — stable, dependency-free fingerprint.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 fn median(mut xs: Vec<u64>) -> u64 {
@@ -540,13 +530,6 @@ impl ScaleReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv1a_matches_known_vector() {
-        // FNV-1a 64 of "a" is a published test vector.
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-    }
 
     #[test]
     fn small_sweep_produces_identical_digests_across_configs() {

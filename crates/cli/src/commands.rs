@@ -6,8 +6,11 @@
 
 use crate::args::{ArgsError, ParsedArgs};
 use crate::explain::{explain_round, parse_trace, ExplainError};
-use crate::faults::{parse_fault_plan, FaultPlanError};
+use crate::faults::parse_fault_plan;
+use crate::plan_file::PlanError;
 use edge_auction::bid::{Bid, Seller};
+use edge_auction::chain_log::has_header;
+use edge_auction::federation::FedChain;
 use edge_auction::msoa::{run_msoa_traced, MsoaConfig, MultiRoundInstance, RoundInput};
 use edge_auction::properties::{
     audit_truthfulness, check_critical_payments, check_individual_rationality, check_monotonicity,
@@ -40,8 +43,8 @@ pub enum CliError {
     /// A scenario file passed every constructor but is not the instance
     /// they build from its contents.
     Scenario(&'static str),
-    /// A `--faults` plan file failed to parse.
-    Faults(FaultPlanError),
+    /// A `--faults` or `--net-faults` plan file failed to parse.
+    Plan(PlanError),
     /// Two flags that cannot be combined.
     FlagConflict(&'static str, &'static str),
     /// A `--trace` file failed to parse or lacks the requested round.
@@ -53,14 +56,11 @@ pub enum CliError {
     Lint(String),
     /// The event-sourced service refused an event structurally.
     Service(edge_auction::service::ServiceError),
-    /// An event log failed to read, verify, or replay.
-    Log(edge_auction::service::LogError),
-    /// A `--net-faults` plan file failed to parse.
-    NetFaults(crate::netfaults::NetFaultPlanError),
+    /// An event log or federation log failed to read, verify, or
+    /// replay.
+    Log(edge_auction::chain_log::LogError),
     /// The federation refused to build or run; carries the detail.
     Federation(String),
-    /// A federation event log failed to read, verify, or replay.
-    FedLog(edge_auction::federation::FedLogError),
     /// A `replay` flag contradicts the value recorded in the log header.
     ReplayConflict {
         /// The conflicting flag.
@@ -83,7 +83,7 @@ impl std::fmt::Display for CliError {
             CliError::Json(e) => write!(f, "json error: {e}"),
             CliError::Auction(e) => write!(f, "auction error: {e}"),
             CliError::Scenario(e) => write!(f, "scenario error: {e}"),
-            CliError::Faults(e) => write!(f, "fault plan error: {e}"),
+            CliError::Plan(e) => write!(f, "plan file error: {e}"),
             CliError::FlagConflict(a, b) => {
                 write!(f, "--{a} cannot be combined with --{b}")
             }
@@ -91,10 +91,8 @@ impl std::fmt::Display for CliError {
             CliError::BenchRegression(report) => write!(f, "bench regression\n{report}"),
             CliError::Lint(e) => write!(f, "metrics lint failed: {e}"),
             CliError::Service(e) => write!(f, "service error: {e}"),
-            CliError::Log(e) => write!(f, "event log error: {e}"),
-            CliError::NetFaults(e) => write!(f, "net-fault plan error: {e}"),
+            CliError::Log(e) => write!(f, "log error: {e}"),
             CliError::Federation(e) => write!(f, "federation error: {e}"),
-            CliError::FedLog(e) => write!(f, "federation log error: {e}"),
             CliError::ReplayConflict { flag, cli, header } => write!(
                 f,
                 "--{flag} {cli} contradicts the log header (which records {flag} = {header}); \
@@ -127,9 +125,9 @@ impl From<edge_auction::AuctionError> for CliError {
         CliError::Auction(e)
     }
 }
-impl From<FaultPlanError> for CliError {
-    fn from(e: FaultPlanError) -> Self {
-        CliError::Faults(e)
+impl From<PlanError> for CliError {
+    fn from(e: PlanError) -> Self {
+        CliError::Plan(e)
     }
 }
 impl From<ExplainError> for CliError {
@@ -142,19 +140,9 @@ impl From<edge_auction::service::ServiceError> for CliError {
         CliError::Service(e)
     }
 }
-impl From<edge_auction::service::LogError> for CliError {
-    fn from(e: edge_auction::service::LogError) -> Self {
+impl From<edge_auction::chain_log::LogError> for CliError {
+    fn from(e: edge_auction::chain_log::LogError) -> Self {
         CliError::Log(e)
-    }
-}
-impl From<crate::netfaults::NetFaultPlanError> for CliError {
-    fn from(e: crate::netfaults::NetFaultPlanError) -> Self {
-        CliError::NetFaults(e)
-    }
-}
-impl From<edge_auction::federation::FedLogError> for CliError {
-    fn from(e: edge_auction::federation::FedLogError) -> Self {
-        CliError::FedLog(e)
     }
 }
 
@@ -861,7 +849,7 @@ fn explain(args: &ParsedArgs) -> Result<String, CliError> {
         return explain_deals(args, path);
     }
     let text = fs::read_to_string(path)?;
-    if edge_auction::federation::is_fed_log(&text) {
+    if has_header::<FedChain>(&text) {
         return Err(CliError::Federation(
             "this is a federation log, not an auction trace; use \
              `explain --trace <log> --deal <id>` (or --deals) for deal \
@@ -907,7 +895,7 @@ fn explain_deals(args: &ParsedArgs, path: &str) -> Result<String, CliError> {
         return Err(CliError::FlagConflict("deal", "deals"));
     }
     let text = fs::read_to_string(path)?;
-    let ledger = if edge_auction::federation::is_fed_log(&text) {
+    let ledger = if has_header::<FedChain>(&text) {
         let log = edge_auction::federation::parse_fed_log(&text)?;
         crate::fed_explain::ledger_from_fed_log(&log)
     } else {
@@ -971,20 +959,9 @@ fn serve(args: &ParsedArgs) -> Result<String, CliError> {
     };
     let port = args.get_or("port", 0u16)?;
     let queue_cap = args.get_or("queue-cap", 64usize)?.max(1);
-    let on_off = |flag: &'static str, default: &str| -> Result<bool, CliError> {
-        match args.get(flag).unwrap_or(default) {
-            "on" => Ok(true),
-            "off" => Ok(false),
-            other => Err(ArgsError::InvalidValue {
-                flag: flag.into(),
-                value: other.to_owned(),
-            }
-            .into()),
-        }
-    };
-    let http = on_off("http", "on")?;
-    let ingest = on_off("ingest", "on")?;
-    let spans_on = on_off("spans", "off")?;
+    let http = on_off_flag(args, "http", true)?;
+    let ingest = on_off_flag(args, "ingest", true)?;
+    let spans_on = on_off_flag(args, "spans", false)?;
     if ingest && !http && args.get("ingest").is_some() {
         return Err(CliError::FlagConflict("ingest", "http"));
     }
@@ -1820,7 +1797,7 @@ mod tests {
         let plan_s = plan_path.to_str().unwrap();
         std::fs::write(&plan_path, "[[defaults]]\nround = 0\nwat = 1\n").unwrap();
         let err = run(parsed(&["msoa", "--input", instance_s, "--faults", plan_s])).unwrap_err();
-        assert!(matches!(err, CliError::Faults(_)));
+        assert!(matches!(err, CliError::Plan(_)));
         assert!(err.to_string().contains("line 3"), "{err}");
         let _ = std::fs::remove_file(instance_path);
         let _ = std::fs::remove_file(plan_path);

@@ -1,8 +1,5 @@
-//! Fault-plan files: a hand-written parser for the TOML subset the
-//! `--faults` flag accepts.
-//!
-//! The workspace deliberately carries no TOML dependency, so this module
-//! parses exactly the subset a fault plan needs and nothing more:
+//! Fault-plan files: the schema of `--faults`, read by
+//! [`crate::plan_file`].
 //!
 //! ```toml
 //! # seller 2 delivers only 40% of its commitment in round 3
@@ -22,302 +19,73 @@
 //! until = 4
 //! ```
 //!
-//! Supported: `#` comments (whole-line and trailing), blank lines, the
-//! three array-of-table headers above, and `key = value` pairs whose
-//! values are unsigned integers, floats, or double-quoted strings
-//! (without escape sequences). Anything else is a loud error naming the
-//! offending line — a fault plan that silently drops half its events
-//! would invalidate every experiment run on it.
+//! Three arrays of tables; each entry is built once the whole file is
+//! read, and every key of an entry is required.
 
+use crate::plan_file::{read, Entry, Load, PlanError, Table};
 use edge_auction::recovery::{CrashWindow, DefaultEvent, DropoutWindow, FaultPlan};
 use edge_common::id::MicroserviceId;
 use edge_common::indicator::Indicator;
-use std::collections::BTreeMap;
-use std::error::Error;
-use std::fmt;
 
-/// Errors from [`parse_fault_plan`], each naming the 1-based source line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FaultPlanError {
-    /// A line that is neither a table header nor `key = value`.
-    Syntax {
-        /// 1-based line number.
-        line: usize,
-        /// What was wrong.
-        message: String,
+/// The `--faults` format.
+const TABLES: &[Table<FaultPlan>] = &[
+    Table {
+        header: "[[defaults]]",
+        keys: &["round", "seller", "delivered_fraction"],
+        load: Load::Entry(|plan, entry| {
+            plan.defaults.push(DefaultEvent {
+                round: entry.require("round")?.u64()?,
+                seller: seller(entry)?,
+                delivered_fraction: entry.require("delivered_fraction")?.f64()?,
+            });
+            Ok(())
+        }),
     },
-    /// A `[[...]]` header naming an unknown table.
-    UnknownTable {
-        /// 1-based line number.
-        line: usize,
-        /// The header's table name.
-        name: String,
+    Table {
+        header: "[[crashes]]",
+        keys: &["seller", "from", "until"],
+        load: Load::Entry(|plan, entry| {
+            plan.crashes.push(CrashWindow {
+                seller: seller(entry)?,
+                from: entry.require("from")?.u64()?,
+                until: entry.require("until")?.u64()?,
+            });
+            Ok(())
+        }),
     },
-    /// A `key = value` pair before any table header.
-    KeyOutsideTable {
-        /// 1-based line number.
-        line: usize,
-        /// The stray key.
-        key: String,
+    Table {
+        header: "[[dropouts]]",
+        keys: &["indicator", "from", "until"],
+        load: Load::Entry(|plan, entry| {
+            let value = entry.require("indicator")?;
+            let name = value.string()?;
+            plan.dropouts.push(DropoutWindow {
+                indicator: name.parse::<Indicator>().map_err(|_| PlanError {
+                    line: value.line,
+                    message: format!("cannot parse '{name}' for key 'indicator'"),
+                })?,
+                from: entry.require("from")?.u64()?,
+                until: entry.require("until")?.u64()?,
+            });
+            Ok(())
+        }),
     },
-    /// A key the table does not define (or a duplicate within an entry).
-    UnknownKey {
-        /// 1-based line number.
-        line: usize,
-        /// The table being filled.
-        table: &'static str,
-        /// The offending key.
-        key: String,
-    },
-    /// A value that does not parse as the key's type.
-    InvalidValue {
-        /// 1-based line number.
-        line: usize,
-        /// The key being assigned.
-        key: String,
-        /// The raw value text.
-        value: String,
-    },
-    /// An entry missing a required key.
-    MissingKey {
-        /// 1-based line number of the entry's `[[...]]` header.
-        line: usize,
-        /// The table the entry belongs to.
-        table: &'static str,
-        /// The absent key.
-        key: &'static str,
-    },
-}
+];
 
-impl fmt::Display for FaultPlanError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FaultPlanError::Syntax { line, message } => {
-                write!(f, "line {line}: {message}")
-            }
-            FaultPlanError::UnknownTable { line, name } => {
-                write!(
-                    f,
-                    "line {line}: unknown table [[{name}]] \
-                     (expected defaults, crashes, or dropouts)"
-                )
-            }
-            FaultPlanError::KeyOutsideTable { line, key } => {
-                write!(
-                    f,
-                    "line {line}: key '{key}' before any [[defaults]]/[[crashes]]/[[dropouts]] header"
-                )
-            }
-            FaultPlanError::UnknownKey { line, table, key } => {
-                write!(f, "line {line}: [[{table}]] has no key '{key}'")
-            }
-            FaultPlanError::InvalidValue { line, key, value } => {
-                write!(f, "line {line}: cannot parse '{value}' for key '{key}'")
-            }
-            FaultPlanError::MissingKey { line, table, key } => {
-                write!(
-                    f,
-                    "[[{table}]] entry at line {line} is missing required key '{key}'"
-                )
-            }
-        }
-    }
-}
-
-impl Error for FaultPlanError {}
-
-/// Which array-of-tables an entry belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Table {
-    Defaults,
-    Crashes,
-    Dropouts,
-}
-
-impl Table {
-    fn name(self) -> &'static str {
-        match self {
-            Table::Defaults => "defaults",
-            Table::Crashes => "crashes",
-            Table::Dropouts => "dropouts",
-        }
-    }
-
-    fn keys(self) -> &'static [&'static str] {
-        match self {
-            Table::Defaults => &["round", "seller", "delivered_fraction"],
-            Table::Crashes => &["seller", "from", "until"],
-            Table::Dropouts => &["indicator", "from", "until"],
-        }
-    }
-}
-
-/// One `[[table]]` entry mid-parse: its header line and raw key/values.
-#[derive(Debug)]
-struct RawEntry {
-    table: Table,
-    line: usize,
-    values: BTreeMap<String, (String, usize)>,
-}
-
-impl RawEntry {
-    fn require(&self, key: &'static str) -> Result<(&str, usize), FaultPlanError> {
-        self.values
-            .get(key)
-            .map(|(raw, line)| (raw.as_str(), *line))
-            .ok_or(FaultPlanError::MissingKey {
-                line: self.line,
-                table: self.table.name(),
-                key,
-            })
-    }
-
-    fn u64(&self, key: &'static str) -> Result<u64, FaultPlanError> {
-        let (raw, line) = self.require(key)?;
-        raw.parse().map_err(|_| FaultPlanError::InvalidValue {
-            line,
-            key: key.to_owned(),
-            value: raw.to_owned(),
-        })
-    }
-
-    fn f64(&self, key: &'static str) -> Result<f64, FaultPlanError> {
-        let (raw, line) = self.require(key)?;
-        // Reject non-finite spellings (`inf`, `nan`) that f64::from_str
-        // would happily accept; a plan file has no business with them.
-        match raw.parse::<f64>() {
-            Ok(v) if v.is_finite() => Ok(v),
-            _ => Err(FaultPlanError::InvalidValue {
-                line,
-                key: key.to_owned(),
-                value: raw.to_owned(),
-            }),
-        }
-    }
-
-    fn string(&self, key: &'static str) -> Result<(&str, usize), FaultPlanError> {
-        let (raw, line) = self.require(key)?;
-        let inner = raw
-            .strip_prefix('"')
-            .and_then(|s| s.strip_suffix('"'))
-            .filter(|s| !s.contains('"'));
-        inner
-            .map(|s| (s, line))
-            .ok_or(FaultPlanError::InvalidValue {
-                line,
-                key: key.to_owned(),
-                value: raw.to_owned(),
-            })
-    }
-}
-
-/// Strips a trailing `#` comment, honouring double-quoted strings.
-fn strip_comment(line: &str) -> &str {
-    let mut in_string = false;
-    for (i, c) in line.char_indices() {
-        match c {
-            '"' => in_string = !in_string,
-            '#' if !in_string => return &line[..i],
-            _ => {}
-        }
-    }
-    line
+/// An entry's `seller` index.
+fn seller(entry: &Entry<'_>) -> Result<MicroserviceId, PlanError> {
+    let value = entry.require("seller")?;
+    let index = usize::try_from(value.u64()?).map_err(|_| value.invalid())?;
+    Ok(MicroserviceId::new(index))
 }
 
 /// Parses a fault-plan file into the core [`FaultPlan`].
 ///
 /// # Errors
 ///
-/// Any [`FaultPlanError`], always naming the offending line.
-pub fn parse_fault_plan(text: &str) -> Result<FaultPlan, FaultPlanError> {
-    let mut entries: Vec<RawEntry> = Vec::new();
-
-    for (idx, raw_line) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = strip_comment(raw_line).trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(header) = line.strip_prefix("[[").and_then(|s| s.strip_suffix("]]")) {
-            let table = match header.trim() {
-                "defaults" => Table::Defaults,
-                "crashes" => Table::Crashes,
-                "dropouts" => Table::Dropouts,
-                other => {
-                    return Err(FaultPlanError::UnknownTable {
-                        line: line_no,
-                        name: other.to_owned(),
-                    })
-                }
-            };
-            entries.push(RawEntry {
-                table,
-                line: line_no,
-                values: BTreeMap::new(),
-            });
-            continue;
-        }
-        let Some((key, value)) = line.split_once('=') else {
-            return Err(FaultPlanError::Syntax {
-                line: line_no,
-                message: format!("expected [[table]] or key = value, got '{line}'"),
-            });
-        };
-        let (key, value) = (key.trim(), value.trim());
-        let Some(entry) = entries.last_mut() else {
-            return Err(FaultPlanError::KeyOutsideTable {
-                line: line_no,
-                key: key.to_owned(),
-            });
-        };
-        if !entry.table.keys().contains(&key) || entry.values.contains_key(key) {
-            return Err(FaultPlanError::UnknownKey {
-                line: line_no,
-                table: entry.table.name(),
-                key: key.to_owned(),
-            });
-        }
-        if value.is_empty() {
-            return Err(FaultPlanError::Syntax {
-                line: line_no,
-                message: format!("key '{key}' has no value"),
-            });
-        }
-        entry
-            .values
-            .insert(key.to_owned(), (value.to_owned(), line_no));
-    }
-
-    let mut plan = FaultPlan::empty();
-    for entry in &entries {
-        match entry.table {
-            Table::Defaults => plan.defaults.push(DefaultEvent {
-                round: entry.u64("round")?,
-                seller: MicroserviceId::new(entry.u64("seller")? as usize),
-                delivered_fraction: entry.f64("delivered_fraction")?,
-            }),
-            Table::Crashes => plan.crashes.push(CrashWindow {
-                seller: MicroserviceId::new(entry.u64("seller")? as usize),
-                from: entry.u64("from")?,
-                until: entry.u64("until")?,
-            }),
-            Table::Dropouts => {
-                let (name, line) = entry.string("indicator")?;
-                let indicator: Indicator =
-                    name.parse().map_err(|_| FaultPlanError::InvalidValue {
-                        line,
-                        key: "indicator".to_owned(),
-                        value: name.to_owned(),
-                    })?;
-                plan.dropouts.push(DropoutWindow {
-                    indicator,
-                    from: entry.u64("from")?,
-                    until: entry.u64("until")?,
-                });
-            }
-        }
-    }
-    Ok(plan)
+/// A [`PlanError`] naming the offending line.
+pub fn parse_fault_plan(text: &str) -> Result<FaultPlan, PlanError> {
+    read(text, FaultPlan::empty(), TABLES)
 }
 
 #[cfg(test)]
@@ -341,6 +109,12 @@ indicator = "rate"
 from = 0
 until = 4
 "#;
+
+    /// The error `text` fails with, as `(line, message)`.
+    fn err(text: &str) -> (usize, String) {
+        let e = parse_fault_plan(text).unwrap_err();
+        (e.line, e.message)
+    }
 
     #[test]
     fn parses_a_full_plan() {
@@ -382,74 +156,70 @@ until = 4
 
     #[test]
     fn errors_name_the_offending_line() {
-        let err = parse_fault_plan("[[defaults]]\nround = 3\nbogus = 1").unwrap_err();
+        let e = parse_fault_plan("[[defaults]]\nround = 3\nbogus = 1").unwrap_err();
+        assert_eq!(e.to_string(), "line 3: [[defaults]] has no key 'bogus'");
         assert_eq!(
-            err,
-            FaultPlanError::UnknownKey {
-                line: 3,
-                table: "defaults",
-                key: "bogus".into()
-            }
+            err("[[oops]]"),
+            (
+                1,
+                "unknown table [[oops]] (expected [[defaults]], [[crashes]], [[dropouts]])".into()
+            )
         );
-        assert!(err.to_string().contains("line 3"));
-
-        let err = parse_fault_plan("[[oops]]").unwrap_err();
-        assert!(matches!(err, FaultPlanError::UnknownTable { line: 1, .. }));
-
-        let err = parse_fault_plan("round = 3").unwrap_err();
-        assert!(matches!(
-            err,
-            FaultPlanError::KeyOutsideTable { line: 1, .. }
-        ));
-
-        let err = parse_fault_plan("[[crashes]]\nnot a pair").unwrap_err();
-        assert!(matches!(err, FaultPlanError::Syntax { line: 2, .. }));
+        // A single-bracket header is a table this format does not have.
+        let (line, message) = err("\n[defaults]");
+        assert_eq!(line, 2);
+        assert!(message.starts_with("unknown table [defaults]"), "{message}");
+        assert_eq!(
+            err("round = 3"),
+            (1, "the top level has no key 'round'".into())
+        );
+        let (line, message) = err("[[crashes]]\nnot a pair");
+        assert_eq!(line, 2);
+        assert!(message.starts_with("expected a header or key = value"));
     }
 
     #[test]
     fn missing_required_key_names_the_entry_header() {
-        let err = parse_fault_plan("\n[[crashes]]\nseller = 1\nfrom = 2").unwrap_err();
         assert_eq!(
-            err,
-            FaultPlanError::MissingKey {
-                line: 2,
-                table: "crashes",
-                key: "until"
-            }
+            err("\n[[crashes]]\nseller = 1\nfrom = 2"),
+            (2, "[[crashes]] entry is missing key 'until'".into())
         );
     }
 
     #[test]
     fn bad_values_are_rejected() {
         let bad_int = "[[crashes]]\nseller = -1\nfrom = 0\nuntil = 1";
-        assert!(matches!(
-            parse_fault_plan(bad_int).unwrap_err(),
-            FaultPlanError::InvalidValue { line: 2, .. }
-        ));
-
+        assert_eq!(
+            err(bad_int),
+            (2, "cannot parse '-1' for key 'seller'".into())
+        );
         let bad_frac = "[[defaults]]\nround = 0\nseller = 0\ndelivered_fraction = inf";
-        assert!(matches!(
-            parse_fault_plan(bad_frac).unwrap_err(),
-            FaultPlanError::InvalidValue { line: 4, .. }
-        ));
-
+        assert_eq!(
+            err(bad_frac),
+            (4, "cannot parse 'inf' for key 'delivered_fraction'".into())
+        );
         let bad_ind = "[[dropouts]]\nindicator = \"latency\"\nfrom = 0\nuntil = 1";
-        assert!(matches!(
-            parse_fault_plan(bad_ind).unwrap_err(),
-            FaultPlanError::InvalidValue { line: 2, .. }
-        ));
-
+        assert_eq!(
+            err(bad_ind),
+            (2, "cannot parse 'latency' for key 'indicator'".into())
+        );
         let unquoted = "[[dropouts]]\nindicator = rate\nfrom = 0\nuntil = 1";
-        assert!(matches!(
-            parse_fault_plan(unquoted).unwrap_err(),
-            FaultPlanError::InvalidValue { line: 2, .. }
-        ));
+        assert_eq!(
+            err(unquoted),
+            (2, "cannot parse 'rate' for key 'indicator'".into())
+        );
     }
 
     #[test]
     fn duplicate_key_within_an_entry_is_rejected() {
-        let err = parse_fault_plan("[[crashes]]\nseller = 1\nseller = 2").unwrap_err();
-        assert!(matches!(err, FaultPlanError::UnknownKey { line: 3, .. }));
+        assert_eq!(
+            err("[[crashes]]\nseller = 1\nseller = 2"),
+            (3, "[[crashes]] sets key 'seller' twice".into())
+        );
+        // A new entry of the same table may set it again.
+        let text = "[[crashes]]\nseller = 1\nfrom = 0\nuntil = 1\n\
+                    [[crashes]]\nseller = 2\nfrom = 0\nuntil = 1";
+        assert_eq!(parse_fault_plan(text).unwrap().crashes.len(), 2);
     }
 
     #[test]
@@ -457,14 +227,9 @@ until = 4
         let text = "[[dropouts]]\nindicator = \"ra#te\"\nfrom = 0\nuntil = 1";
         // The '#' survives comment stripping and then fails indicator
         // parsing — proving it was not treated as a comment start.
-        let err = parse_fault_plan(text).unwrap_err();
         assert_eq!(
-            err,
-            FaultPlanError::InvalidValue {
-                line: 2,
-                key: "indicator".into(),
-                value: "ra#te".into()
-            }
+            err(text),
+            (2, "cannot parse 'ra#te' for key 'indicator'".into())
         );
     }
 }

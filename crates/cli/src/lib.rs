@@ -24,6 +24,7 @@ pub mod faults;
 pub mod fed_explain;
 pub mod federate;
 pub mod netfaults;
+pub mod plan_file;
 pub mod profile;
 pub mod replay;
 pub mod serve;

@@ -1,8 +1,5 @@
-//! Net-fault-plan files: a hand-written parser for the TOML subset the
-//! `--net-faults` flag accepts.
-//!
-//! Like [`crate::faults`], the workspace carries no TOML dependency, so
-//! this module parses exactly what a [`NetFaultPlan`] needs:
+//! Net-fault-plan files: the schema of `--net-faults`, read by
+//! [`crate::plan_file`].
 //!
 //! ```toml
 //! seed = 7                     # optional; defaults to --seed
@@ -21,137 +18,78 @@
 //! isolated = 2    # the platform cut off from everyone
 //! ```
 //!
-//! Supported: `#` comments, blank lines, one optional top-level `seed`,
-//! one optional `[link]` table, and any number of `[[partitions]]`
-//! entries. Anything else is a loud error naming the offending line — a
-//! plan that silently drops half its faults would invalidate every
-//! experiment run on it.
+//! The top-level `seed` and the `[link]` keys load as they are read;
+//! `[[partitions]]` entries are built once the whole file is read. The
+//! assembled plan then runs [`NetFaultPlan::validate`], whose rejection
+//! names the `[link]` or `[[partitions]]` header it concerns.
 
-use edge_net::{NetFaultPlan, PartitionWindow};
-use std::collections::BTreeMap;
-use std::error::Error;
-use std::fmt;
+use crate::plan_file::{read, Load, PlanError, Table};
+use edge_net::{NetConfigError, NetFaultPlan, PartitionWindow};
 
-/// Errors from [`parse_net_fault_plan`], naming the 1-based source line.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NetFaultPlanError {
-    /// A line that is neither a table header nor `key = value`.
-    Syntax {
-        /// 1-based line number.
-        line: usize,
-        /// What was wrong.
-        message: String,
-    },
-    /// A header naming an unknown table.
-    UnknownTable {
-        /// 1-based line number.
-        line: usize,
-        /// The header's table name.
-        name: String,
-    },
-    /// A key the current table (or the top level) does not define, or a
-    /// duplicate within one entry.
-    UnknownKey {
-        /// 1-based line number.
-        line: usize,
-        /// The table being filled (`"top level"` before any header).
-        table: &'static str,
-        /// The offending key.
-        key: String,
-    },
-    /// A value that does not parse as the key's type.
-    InvalidValue {
-        /// 1-based line number.
-        line: usize,
-        /// The key being assigned.
-        key: String,
-        /// The raw value text.
-        value: String,
-    },
-    /// A `[[partitions]]` entry missing a required key.
-    MissingKey {
-        /// 1-based line number of the entry's header.
-        line: usize,
-        /// The absent key.
-        key: &'static str,
-    },
-    /// The assembled plan failed [`NetFaultPlan::validate`].
-    Invalid(String),
+/// A plan mid-read, with the header lines validation errors name.
+#[derive(Debug)]
+struct Draft {
+    plan: NetFaultPlan,
+    link_line: usize,
+    partition_lines: Vec<usize>,
 }
 
-impl fmt::Display for NetFaultPlanError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            NetFaultPlanError::Syntax { line, message } => write!(f, "line {line}: {message}"),
-            NetFaultPlanError::UnknownTable { line, name } => write!(
-                f,
-                "line {line}: unknown table [{name}] (expected [link] or [[partitions]])"
-            ),
-            NetFaultPlanError::UnknownKey { line, table, key } => {
-                write!(f, "line {line}: {table} has no key '{key}'")
-            }
-            NetFaultPlanError::InvalidValue { line, key, value } => {
-                write!(f, "line {line}: cannot parse '{value}' for key '{key}'")
-            }
-            NetFaultPlanError::MissingKey { line, key } => write!(
-                f,
-                "[[partitions]] entry at line {line} is missing required key '{key}'"
-            ),
-            NetFaultPlanError::Invalid(detail) => write!(f, "invalid plan: {detail}"),
-        }
-    }
-}
-
-impl Error for NetFaultPlanError {}
-
-/// Where keys currently land.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Section {
-    Top,
-    Link,
-    Partition(usize),
-}
-
-const LINK_KEYS: &[&str] = &[
-    "latency_min",
-    "latency_max",
-    "drop_probability",
-    "duplicate_probability",
-    "reorder_probability",
-    "reorder_max_extra",
-];
-const PARTITION_KEYS: &[&str] = &["from", "until", "isolated"];
-
-/// Strips a trailing `#` comment (no string values in this grammar).
-fn strip_comment(line: &str) -> &str {
-    line.split_once('#').map_or(line, |(before, _)| before)
-}
-
-fn parse_u64(raw: &str, key: &str, line: usize) -> Result<u64, NetFaultPlanError> {
-    raw.parse().map_err(|_| NetFaultPlanError::InvalidValue {
-        line,
-        key: key.to_owned(),
-        value: raw.to_owned(),
-    })
-}
-
-fn parse_f64(raw: &str, key: &str, line: usize) -> Result<f64, NetFaultPlanError> {
-    match raw.parse::<f64>() {
-        Ok(v) if v.is_finite() => Ok(v),
-        _ => Err(NetFaultPlanError::InvalidValue {
-            line,
-            key: key.to_owned(),
-            value: raw.to_owned(),
+/// The `--net-faults` format.
+const TABLES: &[Table<Draft>] = &[
+    Table {
+        header: "",
+        keys: &["seed"],
+        load: Load::Each(|draft, value| {
+            draft.plan.seed = value.u64()?;
+            Ok(())
         }),
-    }
-}
-
-/// One `[[partitions]]` entry mid-parse.
-#[derive(Debug, Default)]
-struct RawPartition {
-    line: usize,
-    values: BTreeMap<String, (String, usize)>,
-}
+    },
+    Table {
+        header: "[link]",
+        keys: &[
+            "latency_min",
+            "latency_max",
+            "drop_probability",
+            "duplicate_probability",
+            "reorder_probability",
+            "reorder_max_extra",
+        ],
+        load: Load::Each(|draft, value| {
+            let link = &mut draft.plan.link;
+            match value.key {
+                "latency_min" => link.latency_min = value.u64()?,
+                "latency_max" => link.latency_max = value.u64()?,
+                "drop_probability" => link.drop_probability = value.f64()?,
+                "duplicate_probability" => link.duplicate_probability = value.f64()?,
+                "reorder_probability" => link.reorder_probability = value.f64()?,
+                "reorder_max_extra" => link.reorder_max_extra = value.u64()?,
+                key => unreachable!("the reader admits only the keys above, not '{key}'"),
+            }
+            draft.link_line = value.header_line;
+            Ok(())
+        }),
+    },
+    Table {
+        header: "[[partitions]]",
+        keys: &["from", "until", "isolated"],
+        load: Load::Entry(|draft, entry| {
+            let from = entry.require("from")?;
+            let isolated = entry.require("isolated")?;
+            // An absent heal tick means "never heals".
+            let until = match entry.get("until") {
+                Some(value) => value.u64()?,
+                None => u64::MAX,
+            };
+            draft.plan.partitions.push(PartitionWindow {
+                from: from.u64()?,
+                until,
+                isolated: usize::try_from(isolated.u64()?).map_err(|_| isolated.invalid())?,
+            });
+            draft.partition_lines.push(entry.line);
+            Ok(())
+        }),
+    },
+];
 
 /// Parses a net-fault-plan file into a [`NetFaultPlan`].
 ///
@@ -160,145 +98,27 @@ struct RawPartition {
 ///
 /// # Errors
 ///
-/// Any [`NetFaultPlanError`], always naming the offending line (or the
-/// validation failure).
+/// A [`PlanError`] naming the offending line.
 pub fn parse_net_fault_plan(
     text: &str,
     default_seed: u64,
     platforms: usize,
-) -> Result<NetFaultPlan, NetFaultPlanError> {
-    let mut plan = NetFaultPlan::ideal(default_seed);
-    let mut section = Section::Top;
-    let mut seen_top: BTreeMap<String, usize> = BTreeMap::new();
-    let mut seen_link: BTreeMap<String, usize> = BTreeMap::new();
-    let mut partitions: Vec<RawPartition> = Vec::new();
-
-    for (idx, raw_line) in text.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = strip_comment(raw_line).trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(header) = line.strip_prefix("[[").and_then(|s| s.strip_suffix("]]")) {
-            if header.trim() != "partitions" {
-                return Err(NetFaultPlanError::UnknownTable {
-                    line: line_no,
-                    name: format!("[{}]", header.trim()),
-                });
-            }
-            partitions.push(RawPartition {
-                line: line_no,
-                values: BTreeMap::new(),
-            });
-            section = Section::Partition(partitions.len() - 1);
-            continue;
-        }
-        if let Some(header) = line.strip_prefix('[').and_then(|s| s.strip_suffix(']')) {
-            if header.trim() != "link" {
-                return Err(NetFaultPlanError::UnknownTable {
-                    line: line_no,
-                    name: header.trim().to_owned(),
-                });
-            }
-            section = Section::Link;
-            continue;
-        }
-        let Some((key, value)) = line.split_once('=') else {
-            return Err(NetFaultPlanError::Syntax {
-                line: line_no,
-                message: format!("expected [link], [[partitions]], or key = value, got '{line}'"),
-            });
-        };
-        let (key, value) = (key.trim(), value.trim());
-        if value.is_empty() {
-            return Err(NetFaultPlanError::Syntax {
-                line: line_no,
-                message: format!("key '{key}' has no value"),
-            });
-        }
-        match section {
-            Section::Top => {
-                if key != "seed" || seen_top.insert(key.to_owned(), line_no).is_some() {
-                    return Err(NetFaultPlanError::UnknownKey {
-                        line: line_no,
-                        table: "the top level",
-                        key: key.to_owned(),
-                    });
-                }
-                plan.seed = parse_u64(value, key, line_no)?;
-            }
-            Section::Link => {
-                if !LINK_KEYS.contains(&key) || seen_link.insert(key.to_owned(), line_no).is_some()
-                {
-                    return Err(NetFaultPlanError::UnknownKey {
-                        line: line_no,
-                        table: "[link]",
-                        key: key.to_owned(),
-                    });
-                }
-                match key {
-                    "latency_min" => plan.link.latency_min = parse_u64(value, key, line_no)?,
-                    "latency_max" => plan.link.latency_max = parse_u64(value, key, line_no)?,
-                    "drop_probability" => {
-                        plan.link.drop_probability = parse_f64(value, key, line_no)?;
-                    }
-                    "duplicate_probability" => {
-                        plan.link.duplicate_probability = parse_f64(value, key, line_no)?;
-                    }
-                    "reorder_probability" => {
-                        plan.link.reorder_probability = parse_f64(value, key, line_no)?;
-                    }
-                    "reorder_max_extra" => {
-                        plan.link.reorder_max_extra = parse_u64(value, key, line_no)?;
-                    }
-                    _ => unreachable!("key checked against LINK_KEYS"),
-                }
-            }
-            Section::Partition(i) => {
-                let entry = &mut partitions[i];
-                if !PARTITION_KEYS.contains(&key) || entry.values.contains_key(key) {
-                    return Err(NetFaultPlanError::UnknownKey {
-                        line: line_no,
-                        table: "[[partitions]]",
-                        key: key.to_owned(),
-                    });
-                }
-                entry
-                    .values
-                    .insert(key.to_owned(), (value.to_owned(), line_no));
-            }
-        }
-    }
-
-    for entry in &partitions {
-        let require = |key: &'static str| -> Result<(&str, usize), NetFaultPlanError> {
-            entry
-                .values
-                .get(key)
-                .map(|(raw, line)| (raw.as_str(), *line))
-                .ok_or(NetFaultPlanError::MissingKey {
-                    line: entry.line,
-                    key,
-                })
-        };
-        let (from_raw, from_line) = require("from")?;
-        let (isolated_raw, isolated_line) = require("isolated")?;
-        // `until` is optional: an absent heal tick means "never heals".
-        let until = match entry.values.get("until") {
-            Some((raw, line)) => parse_u64(raw, "until", *line)?,
-            None => u64::MAX,
-        };
-        plan.partitions.push(PartitionWindow {
-            from: parse_u64(from_raw, "from", from_line)?,
-            until,
-            isolated: usize::try_from(parse_u64(isolated_raw, "isolated", isolated_line)?)
-                .expect("u64 fits usize on supported targets"),
-        });
-    }
-
-    plan.validate(platforms)
-        .map_err(|e| NetFaultPlanError::Invalid(e.to_string()))?;
-    Ok(plan)
+) -> Result<NetFaultPlan, PlanError> {
+    let draft = Draft {
+        plan: NetFaultPlan::ideal(default_seed),
+        link_line: 0,
+        partition_lines: Vec::new(),
+    };
+    let draft = read(text, draft, TABLES)?;
+    let invalid = |e: NetConfigError| PlanError {
+        line: match e {
+            NetConfigError::Partition { index, .. } => draft.partition_lines[index],
+            _ => draft.link_line,
+        },
+        message: format!("invalid plan: {e}"),
+    };
+    draft.plan.validate(platforms).map_err(invalid)?;
+    Ok(draft.plan)
 }
 
 #[cfg(test)]
@@ -326,6 +146,12 @@ from = 30
 isolated = 0
 ";
 
+    /// The error `text` fails with, as `(line, message)`.
+    fn err(text: &str) -> (usize, String) {
+        let e = parse_net_fault_plan(text, 0, 3).unwrap_err();
+        (e.line, e.message)
+    }
+
     #[test]
     fn parses_a_full_plan() {
         let plan = parse_net_fault_plan(GOOD, 99, 3).unwrap();
@@ -349,70 +175,76 @@ isolated = 0
 
     #[test]
     fn errors_name_the_offending_line() {
-        let err = parse_net_fault_plan("[link]\nbogus = 1", 0, 3).unwrap_err();
+        let e = parse_net_fault_plan("[link]\nbogus = 1", 0, 3).unwrap_err();
+        assert_eq!(e.to_string(), "line 2: [link] has no key 'bogus'");
+        let expected = "(expected [link], [[partitions]])";
         assert_eq!(
-            err,
-            NetFaultPlanError::UnknownKey {
-                line: 2,
-                table: "[link]",
-                key: "bogus".into()
-            }
+            err("[oops]"),
+            (1, format!("unknown table [oops] {expected}"))
         );
-        assert!(err.to_string().contains("line 2"), "{err}");
-
-        let err = parse_net_fault_plan("[oops]", 0, 3).unwrap_err();
-        assert!(matches!(
-            err,
-            NetFaultPlanError::UnknownTable { line: 1, .. }
-        ));
-
-        let err = parse_net_fault_plan("[[oops]]", 0, 3).unwrap_err();
-        assert!(matches!(
-            err,
-            NetFaultPlanError::UnknownTable { line: 1, .. }
-        ));
-
-        let err = parse_net_fault_plan("latency_min = 2", 0, 3).unwrap_err();
-        assert!(matches!(err, NetFaultPlanError::UnknownKey { line: 1, .. }));
-
-        let err = parse_net_fault_plan("[link]\nnot a pair", 0, 3).unwrap_err();
-        assert!(matches!(err, NetFaultPlanError::Syntax { line: 2, .. }));
-
-        let err = parse_net_fault_plan("[link]\ndrop_probability = lots", 0, 3).unwrap_err();
-        assert!(matches!(
-            err,
-            NetFaultPlanError::InvalidValue { line: 2, .. }
-        ));
+        assert_eq!(
+            err("[[oops]]"),
+            (1, format!("unknown table [[oops]] {expected}"))
+        );
+        // `[ [partitions] ]` is a table named "[partitions]", not the array.
+        assert_eq!(
+            err("[ [partitions] ]"),
+            (1, format!("unknown table [ [partitions] ] {expected}"))
+        );
+        assert_eq!(
+            err("latency_min = 2"),
+            (1, "the top level has no key 'latency_min'".into())
+        );
+        assert_eq!(
+            err("[link]\nnot a pair"),
+            (
+                2,
+                "expected a header or key = value, got 'not a pair'".into()
+            )
+        );
+        assert_eq!(
+            err("[link]\ndrop_probability = lots"),
+            (2, "cannot parse 'lots' for key 'drop_probability'".into())
+        );
     }
 
     #[test]
     fn missing_partition_key_names_the_entry_header() {
-        let err = parse_net_fault_plan("\n[[partitions]]\nfrom = 1", 0, 3).unwrap_err();
         assert_eq!(
-            err,
-            NetFaultPlanError::MissingKey {
-                line: 2,
-                key: "isolated"
-            }
+            err("\n[[partitions]]\nfrom = 1"),
+            (2, "[[partitions]] entry is missing key 'isolated'".into())
         );
     }
 
     #[test]
     fn semantic_validation_still_runs() {
-        // isolated = 9 is out of range for a 3-platform federation.
-        let err = parse_net_fault_plan("[[partitions]]\nfrom = 0\nisolated = 9", 0, 3).unwrap_err();
-        assert!(matches!(err, NetFaultPlanError::Invalid(_)));
-        // drop probability over 1 fails link validation.
-        let err = parse_net_fault_plan("[link]\ndrop_probability = 1.5", 0, 3).unwrap_err();
-        assert!(matches!(err, NetFaultPlanError::Invalid(_)));
+        // isolated = 9 is out of range for a 3-platform federation; the
+        // error names that entry's header.
+        let text = "[[partitions]]\nfrom = 0\nisolated = 0\n[[partitions]]\nfrom = 0\nisolated = 9";
+        let (line, message) = err(text);
+        assert_eq!(line, 4);
+        assert!(message.starts_with("invalid plan: invalid partition window #1"));
+        // drop probability over 1 fails link validation at [link].
+        let (line, message) = err("seed = 1\n[link]\ndrop_probability = 1.5");
+        assert_eq!(line, 2);
+        assert!(message.starts_with("invalid plan: invalid link model"));
     }
 
     #[test]
     fn duplicate_keys_are_rejected() {
-        let err = parse_net_fault_plan("seed = 1\nseed = 2", 0, 3).unwrap_err();
-        assert!(matches!(err, NetFaultPlanError::UnknownKey { line: 2, .. }));
-        let err =
-            parse_net_fault_plan("[link]\nlatency_min = 1\nlatency_min = 2", 0, 3).unwrap_err();
-        assert!(matches!(err, NetFaultPlanError::UnknownKey { line: 3, .. }));
+        assert_eq!(
+            err("seed = 1\nseed = 2"),
+            (2, "the top level sets key 'seed' twice".into())
+        );
+        let twice = "[link] sets key 'latency_min' twice";
+        assert_eq!(
+            err("[link]\nlatency_min = 1\nlatency_min = 2"),
+            (3, twice.into())
+        );
+        // A repeated [link] header continues the same table.
+        assert_eq!(
+            err("[link]\nlatency_min = 1\n[link]\nlatency_min = 2"),
+            (4, twice.into())
+        );
     }
 }

@@ -11,7 +11,7 @@
 //! 3. apply every record in sequence.
 //!
 //! A **federation** log (written by `federate --fed-log`) is detected
-//! automatically ([`is_fed_log`]): its header carries the whole
+//! automatically ([`has_header`]): its header carries the whole
 //! [`FederationConfig`](edge_auction::federation::FederationConfig)
 //! *and* the seeded net-fault plan, so replay rebuilds the entire
 //! federation — network substrate included — re-runs it, and verifies
@@ -32,7 +32,8 @@
 
 use crate::args::{ArgsError, ParsedArgs};
 use crate::commands::{apply_pricing_threads, CliError};
-use edge_auction::federation::{first_divergence, is_fed_log, parse_fed_log, FederationSim};
+use edge_auction::chain_log::has_header;
+use edge_auction::federation::{first_divergence, parse_fed_log, FedChain, FederationSim};
 use edge_auction::service::{parse_log, AuctionService, ServiceConfig};
 use edge_telemetry::Collector;
 use std::fmt::Write as _;
@@ -67,7 +68,7 @@ pub fn replay(args: &ParsedArgs) -> Result<String, CliError> {
         }
     };
     let text = fs::read_to_string(&path)?;
-    if is_fed_log(&text) {
+    if has_header::<FedChain>(&text) {
         return replay_federation(args, &path, &text);
     }
     let parsed = parse_log(&text, true)?;

@@ -430,7 +430,10 @@ fn drain_ingress<W: Write, P: FnMut(u64, u64) -> edge_auction::msoa::MultiRoundI
         let reply = match svc.apply(&msg.event, collector) {
             Ok(_) => {
                 let (seq, digest) = match log.as_mut() {
-                    Some(writer) => writer.append(&msg.event)?,
+                    Some(writer) => {
+                        let (seq, digest) = writer.append(&msg.event)?;
+                        (seq, format!("{digest:016x}"))
+                    }
                     None => (svc.events_applied(), svc.state_digest_hex()),
                 };
                 IngressReply::Accepted { seq, digest }

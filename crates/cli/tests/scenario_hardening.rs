@@ -74,3 +74,26 @@ fn malformed_single_round_files_exit_1_with_the_constructor_error() {
         rejects(&["audit"], &format!("round-{i}.json"), contents, error);
     }
 }
+
+#[test]
+fn deeply_nested_files_exit_1_with_the_parser_error() {
+    // 200,000 levels would overflow any thread's stack; the JSON reader
+    // stops at 128.
+    let deep = "[".repeat(200_000);
+    let path = std::env::temp_dir().join(format!("edge-market-{}-deep.json", std::process::id()));
+    std::fs::write(&path, &deep).expect("write file");
+    for args in [&["replay"][..], &["msoa", "--input"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_edge-market"))
+            .args(args)
+            .arg(&path)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("nesting deeper than 128 levels"),
+            "{args:?}: {stderr}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
+}

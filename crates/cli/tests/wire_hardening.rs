@@ -331,3 +331,64 @@ fn wire_fed_drive_loop_writes_a_log_that_replays_to_the_same_digest() {
 
     let _ = std::fs::remove_file(&path);
 }
+
+/// Sends a bare GET; returns (status line, body).
+fn get(addr: SocketAddr, path: &str) -> (String, String) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    write!(stream, "GET {path} HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+    stream.flush().unwrap();
+    read_response(stream)
+}
+
+#[test]
+fn deeply_nested_body_is_malformed_and_the_server_lives_on() {
+    let state = Arc::new(ServeState::new());
+    let (tx, rx) = sync_channel::<IngressMsg>(8);
+    let (addr, http) =
+        edge_market_cli::serve::start_http_with_ingest(Arc::clone(&state), 0, Some(tx))
+            .expect("bind");
+    let config = ServeConfig {
+        seed: 5,
+        microservices: 6,
+        requests: 40,
+        ..ServeConfig::default()
+    };
+    let mut svc = AuctionService::new(
+        config.service_config(),
+        stage_provider(config.service_config()),
+    );
+    let (status, body) = post_through_service(
+        addr,
+        "/v1/bid",
+        r#"{"seller":0,"bid":0,"amount":2,"price":5.5}"#,
+        &rx,
+        &mut svc,
+    );
+    assert!(status.contains("200"), "{status} {body}");
+    let digests_before = (svc.book_digest_hex(), svc.state_digest_hex());
+
+    // A maximal body of `[`: one nesting level per byte. The JSON reader
+    // rejects it past 128 levels instead of overflowing the HTTP
+    // thread's stack.
+    let body = vec![b'['; MAX_BODY_BYTES];
+    let (status, reply) = post_rejected_at_http(addr, "/v1/bid", &body, None);
+    assert!(status.contains("400"), "{status} {reply}");
+    assert!(
+        reply.contains("\"ok\":false,\"error\":\"malformed\""),
+        "{reply}"
+    );
+    assert!(rx.try_recv().is_err(), "the body reached the queue");
+
+    let (status, body) = get(addr, "/healthz");
+    assert!(status.contains("200"), "{status} {body}");
+    assert_eq!(
+        (svc.book_digest_hex(), svc.state_digest_hex()),
+        digests_before
+    );
+
+    state.request_shutdown();
+    http.join().expect("http joins");
+}

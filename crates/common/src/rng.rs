@@ -50,15 +50,15 @@ pub fn seeded_rng(seed: u64) -> DeterministicRng {
 /// assert_ne!(arrivals.gen::<u64>(), prices.gen::<u64>());
 /// ```
 pub fn derive_rng(root_seed: u64, stream: &str) -> DeterministicRng {
-    ChaCha8Rng::seed_from_u64(root_seed ^ fnv1a(stream.as_bytes()))
+    ChaCha8Rng::seed_from_u64(root_seed ^ fnv1a64(stream.as_bytes()))
 }
 
 /// FNV-1a 64-bit hash of a byte string.
 ///
-/// The workspace's digest primitive: stream-label mixing here, event-log
-/// and network-tape digest chains downstream all fold through this.
-/// Tiny, dependency-free, and stable across releases — never change the
-/// constants, or every recorded log digest breaks.
+/// The workspace's digest primitive: stream-label mixing here, outcome
+/// digests, and — through [`chain_genesis`] and [`chain_step`] — every
+/// log, state and network-tape digest chain. Stable across releases —
+/// never change the constants, or every recorded log digest breaks.
 ///
 /// # Examples
 ///
@@ -69,19 +69,45 @@ pub fn derive_rng(root_seed: u64, stream: &str) -> DeterministicRng {
 /// assert_ne!(fnv1a64(b"a"), fnv1a64(b"b"));
 /// ```
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a(bytes)
+    fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
 }
 
-/// FNV-1a 64-bit hash — tiny, dependency-free, and stable across releases.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(PRIME);
+/// The genesis of a digest chain: the FNV-1a of
+/// `"{tag}:v{version}:{header}"`.
+pub fn chain_genesis(tag: &str, version: u64, header: &[u8]) -> u64 {
+    let hash = fnv1a_extend(fnv1a64(tag.as_bytes()), b":v");
+    fnv1a_extend(fnv1a_extend(fnv1a_decimal(hash, version), b":"), header)
+}
+
+/// One link of a digest chain: the FNV-1a of
+/// `"{prev:016x}:{seq}:{payload}"`, streamed into the hash without
+/// building the string.
+pub fn chain_step(prev: u64, seq: u64, payload: &[u8]) -> u64 {
+    let hex: [u8; 16] =
+        std::array::from_fn(|i| b"0123456789abcdef"[((prev >> (60 - 4 * i)) & 0xf) as usize]);
+    let hash = fnv1a_decimal(fnv1a_extend(fnv1a64(&hex), b":"), seq);
+    fnv1a_extend(fnv1a_extend(hash, b":"), payload)
+}
+
+/// Continues an FNV-1a 64 hash over `bytes`.
+fn fnv1a_extend(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Continues an FNV-1a 64 hash over `n` spelled in decimal.
+fn fnv1a_decimal(hash: u64, mut n: u64) -> u64 {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            return fnv1a_extend(hash, &digits[start..]);
+        }
     }
-    hash
 }
 
 #[cfg(test)]
@@ -126,8 +152,28 @@ mod tests {
     #[test]
     fn fnv_known_vector() {
         // FNV-1a of the empty string is the offset basis.
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         // And of "a" — standard published vector.
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[test]
+    fn chain_steps_hash_the_formatted_bytes() {
+        for (prev, seq) in [(0, 0), (0xcbf2_9ce4_8422_2325, 9), (u64::MAX, u64::MAX)] {
+            for payload in ["", "\"RoundClosed\"", "{\"units\":12}"] {
+                let formatted = format!("{prev:016x}:{seq}:{payload}");
+                assert_eq!(
+                    chain_step(prev, seq, payload.as_bytes()),
+                    fnv1a64(formatted.as_bytes())
+                );
+            }
+        }
+        for version in [0, 1, 2, 10, u64::MAX] {
+            let formatted = format!("edge-net:v{version}:{{}}");
+            assert_eq!(
+                chain_genesis("edge-net", version, b"{}"),
+                fnv1a64(formatted.as_bytes())
+            );
+        }
     }
 }

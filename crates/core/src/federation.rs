@@ -24,7 +24,8 @@
 //!   cross the healed link, a live reservation completes the deal, an
 //!   expired one answers with a definitive reject;
 //! * every network and protocol event folds into an FNV-1a digest chain
-//!   ([`FederationSim`] records), so a run is replayed byte-identically
+//!   ([`FederationSim`] records, written as the [`FedChain`]
+//!   [`crate::chain_log`] format), so a run is replayed byte-identically
 //!   from its log header at any `--pricing-threads` setting;
 //! * every wire payload travels inside a [`FedPacket`] span envelope
 //!   (`"{deal}#{hop}"` causal ids derived from driver order and logical
@@ -36,11 +37,11 @@
 //! See DESIGN.md §14 for the full protocol walkthrough and §15 for the
 //! observability contract.
 
+use crate::chain_log::{self, Chain, Format, LogError, Record};
 use crate::msoa::MultiRoundInstance;
-use crate::service::{
-    fnv1a64, AuctionService, ServiceConfig, ServiceError, ServiceEvent, StageSummary,
-};
+use crate::service::{AuctionService, ServiceConfig, ServiceError, ServiceEvent, StageSummary};
 use edge_common::id::PlatformId;
+use edge_common::rng::fnv1a64;
 use edge_net::{Delivery, NetConfigError, NetEvent, NetFaultPlan, NetStats, Network};
 use edge_telemetry::registry::global;
 use edge_telemetry::{Collector, Counter, Gauge, Level, Sink, Value};
@@ -54,7 +55,7 @@ pub const FED_GENESIS: &str = "edge-market-fed-log";
 /// Federation log format version. v2 added the [`FedPacket`] span
 /// envelope on every wire payload and the end-of-run
 /// [`FedEvent::NodeSummary`] records; v1 logs are rejected with
-/// [`FedLogError::UnknownVersion`].
+/// [`LogError::UnknownVersion`].
 pub const FED_VERSION: u32 = 2;
 
 // ---------------------------------------------------------------------
@@ -487,15 +488,7 @@ pub enum FedEvent {
 }
 
 /// One chained federation log record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FedRecord {
-    /// Sequence number (1-based; 0 is the header).
-    pub seq: u64,
-    /// The chain digest after folding this event (hex, 16 chars).
-    pub digest: String,
-    /// The event.
-    pub event: FedEvent,
-}
+pub type FedRecord = Record<FedEvent>;
 
 // ---------------------------------------------------------------------
 // Per-node protocol state.
@@ -1407,8 +1400,7 @@ pub struct FederationSim<P> {
     net: Network<FedPacket>,
     nodes: Vec<FederationNode<P>>,
     records: Vec<FedRecord>,
-    digest: u64,
-    next_seq: u64,
+    chain: Chain,
     /// Per-`(node, deal)` causal hop counters (see [`FedPacket`]):
     /// bumped on every send, max-merged on every delivery.
     hops: BTreeMap<(usize, DealId), u64>,
@@ -1459,7 +1451,7 @@ impl<P: FnMut(u64, u64) -> MultiRoundInstance> FederationSim<P> {
             config: config.clone(),
             plan: net.plan().clone(),
         };
-        let digest = fed_header_digest(&header);
+        let chain = Chain::start::<FedChain>(&header);
         let nodes = config
             .nodes
             .iter()
@@ -1480,8 +1472,7 @@ impl<P: FnMut(u64, u64) -> MultiRoundInstance> FederationSim<P> {
             net,
             nodes,
             records: Vec::new(),
-            digest,
-            next_seq: 0,
+            chain,
             hops: BTreeMap::new(),
             sent_meta: BTreeMap::new(),
             live: FedLive::handle(),
@@ -1669,18 +1660,12 @@ impl<P: FnMut(u64, u64) -> MultiRoundInstance> FederationSim<P> {
             FedEvent::ReservationExpired { .. } => self.live.reservations_expired.incr(),
             _ => {}
         }
-        let seq = self.next_seq + 1;
+        let json = serde_json::to_string(&event).expect("event serialization is infallible");
+        let (seq, digest) = self.chain.push(&json);
         if let Some(collector) = collector {
             self.trace_event(collector, &event, seq);
         }
-        let json = serde_json::to_string(&event).expect("event serialization is infallible");
-        self.next_seq = seq;
-        self.digest = fnv1a64(format!("{:016x}:{seq}:{json}", self.digest).as_bytes());
-        self.records.push(FedRecord {
-            seq,
-            digest: format!("{:016x}", self.digest),
-            event,
-        });
+        self.records.push(Record { seq, digest, event });
     }
 
     /// Mirrors one chained event onto the deterministic trace with full
@@ -1935,7 +1920,7 @@ impl<P: FnMut(u64, u64) -> MultiRoundInstance> FederationSim<P> {
     fn outcome(&self) -> FederationOutcome {
         FederationOutcome {
             ticks: self.net.clock(),
-            fed_digest: format!("{:016x}", self.digest),
+            fed_digest: format!("{:016x}", self.chain.digest()),
             net_digest: self.net.digest_hex(),
             net: *self.net.stats(),
             nodes: self
@@ -1971,220 +1956,35 @@ pub struct FedHeader {
     pub plan: NetFaultPlan,
 }
 
-/// The chain genesis for a header.
-fn fed_header_digest(header: &FedHeader) -> u64 {
-    let json = serde_json::to_string(header).expect("header serialization is infallible");
-    fnv1a64(format!("{FED_GENESIS}:v{FED_VERSION}:{json}").as_bytes())
+/// The federation log's [`chain_log`] format: a [`FedHeader`] under
+/// `"fed"`, then one [`FedEvent`] per record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FedChain;
+
+impl Format for FedChain {
+    const TAG: &'static str = FED_GENESIS;
+    const VERSION: u32 = FED_VERSION;
+    const HEADER_KEY: &'static str = "fed";
+    type Header = FedHeader;
+    type Event = FedEvent;
 }
 
 /// A fully parsed and chain-verified federation log.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FedLog {
-    /// The header.
-    pub header: FedHeader,
-    /// Every record, in sequence order.
-    pub records: Vec<FedRecord>,
-}
+pub type FedLog = chain_log::Log<FedChain>;
 
 /// Renders a federation run (header + records) as a JSONL log.
 pub fn render_fed_log(header: &FedHeader, records: &[FedRecord]) -> String {
-    let mut out = String::new();
-    let header_json = serde_json::to_string(header).expect("header serialization is infallible");
-    let digest = fed_header_digest(header);
-    out.push_str(&format!(
-        "{{\"v\":{FED_VERSION},\"seq\":0,\"digest\":\"{digest:016x}\",\"fed\":{header_json}}}\n"
-    ));
-    for record in records {
-        let event_json =
-            serde_json::to_string(&record.event).expect("event serialization is infallible");
-        out.push_str(&format!(
-            "{{\"v\":{FED_VERSION},\"seq\":{},\"digest\":\"{}\",\"event\":{event_json}}}\n",
-            record.seq, record.digest
-        ));
-    }
-    out
+    chain_log::render::<FedChain>(header, records.iter().map(|r| &r.event))
 }
 
-/// True when `text` starts with a federation log header (rather than a
-/// single-service event log).
-pub fn is_fed_log(text: &str) -> bool {
-    let Some(first) = text.lines().find(|l| !l.trim().is_empty()) else {
-        return false;
-    };
-    matches!(
-        serde_json::from_str::<serde::Value>(first),
-        Ok(v) if v.get("fed").is_some()
-    )
-}
-
-/// Federation-log reading/validation failure.
-#[derive(Debug)]
-pub enum FedLogError {
-    /// The first record is not a well-formed federation header.
-    MissingHeader,
-    /// A record's schema version is not understood.
-    UnknownVersion {
-        /// The version found.
-        version: u64,
-    },
-    /// A line failed to parse.
-    Malformed {
-        /// 1-based line number.
-        line: usize,
-        /// What went wrong.
-        detail: String,
-    },
-    /// A record's digest does not extend the chain.
-    DigestMismatch {
-        /// The offending sequence number.
-        seq: u64,
-        /// The digest the chain requires.
-        expected: String,
-        /// The digest on the record.
-        found: String,
-    },
-    /// Sequence numbers are not contiguous.
-    SeqGap {
-        /// The sequence number the chain requires.
-        expected: u64,
-        /// The sequence number found.
-        found: u64,
-    },
-}
-
-impl fmt::Display for FedLogError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FedLogError::MissingHeader => {
-                write!(
-                    f,
-                    "the log's first record is not a v{FED_VERSION} federation header"
-                )
-            }
-            FedLogError::UnknownVersion { version } => write!(
-                f,
-                "unknown federation-log version {version} (this build reads v{FED_VERSION})"
-            ),
-            FedLogError::Malformed { line, detail } => {
-                write!(f, "malformed federation record at line {line}: {detail}")
-            }
-            FedLogError::DigestMismatch {
-                seq,
-                expected,
-                found,
-            } => write!(
-                f,
-                "federation chain broken at seq {seq}: expected {expected}, found {found}"
-            ),
-            FedLogError::SeqGap { expected, found } => {
-                write!(
-                    f,
-                    "federation sequence gap: expected seq {expected}, found {found}"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for FedLogError {}
-
-/// Parses a federation JSONL log, verifying version, sequencing, and
-/// the full digest chain.
+/// Parses a federation log strictly ([`chain_log::parse`]): every line
+/// must carry version [`FED_VERSION`] and extend the chain.
 ///
 /// # Errors
 ///
-/// Any [`FedLogError`] variant.
-pub fn parse_fed_log(text: &str) -> Result<FedLog, FedLogError> {
-    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-    let Some(first) = lines.first() else {
-        return Err(FedLogError::MissingHeader);
-    };
-    let header_value: serde::Value =
-        serde_json::from_str(first).map_err(|e| FedLogError::Malformed {
-            line: 1,
-            detail: e.to_string(),
-        })?;
-    let version = match header_value.get("v") {
-        Some(serde::Value::U64(v)) => *v,
-        _ => return Err(FedLogError::MissingHeader),
-    };
-    if version != u64::from(FED_VERSION) {
-        return Err(FedLogError::UnknownVersion { version });
-    }
-    let header_field = header_value.get("fed").ok_or(FedLogError::MissingHeader)?;
-    let header = FedHeader::deserialize(header_field).map_err(|_| FedLogError::MissingHeader)?;
-    let expected = fed_header_digest(&header);
-    match header_value.get("digest") {
-        Some(serde::Value::Str(found)) if *found == format!("{expected:016x}") => {}
-        Some(serde::Value::Str(found)) => {
-            return Err(FedLogError::DigestMismatch {
-                seq: 0,
-                expected: format!("{expected:016x}"),
-                found: found.clone(),
-            })
-        }
-        _ => return Err(FedLogError::MissingHeader),
-    }
-
-    let mut records = Vec::with_capacity(lines.len().saturating_sub(1));
-    let mut chain = expected;
-    for (idx, line) in lines.iter().enumerate().skip(1) {
-        let line_no = idx + 1;
-        let value: serde::Value =
-            serde_json::from_str(line).map_err(|e| FedLogError::Malformed {
-                line: line_no,
-                detail: e.to_string(),
-            })?;
-        let seq = match value.get("seq") {
-            Some(serde::Value::U64(s)) => *s,
-            _ => {
-                return Err(FedLogError::Malformed {
-                    line: line_no,
-                    detail: "missing seq".to_owned(),
-                })
-            }
-        };
-        let expected_seq = records.len() as u64 + 1;
-        if seq != expected_seq {
-            return Err(FedLogError::SeqGap {
-                expected: expected_seq,
-                found: seq,
-            });
-        }
-        let event_field = value.get("event").ok_or(FedLogError::Malformed {
-            line: line_no,
-            detail: "missing event".to_owned(),
-        })?;
-        let event = FedEvent::deserialize(event_field).map_err(|e| FedLogError::Malformed {
-            line: line_no,
-            detail: e.to_string(),
-        })?;
-        let event_json = serde_json::to_string(&event).expect("event serialization is infallible");
-        chain = fnv1a64(format!("{chain:016x}:{seq}:{event_json}").as_bytes());
-        let expected_digest = format!("{chain:016x}");
-        match value.get("digest") {
-            Some(serde::Value::Str(found)) if *found == expected_digest => {}
-            Some(serde::Value::Str(found)) => {
-                return Err(FedLogError::DigestMismatch {
-                    seq,
-                    expected: expected_digest,
-                    found: found.clone(),
-                })
-            }
-            _ => {
-                return Err(FedLogError::Malformed {
-                    line: line_no,
-                    detail: "missing digest".to_owned(),
-                })
-            }
-        }
-        records.push(FedRecord {
-            seq,
-            digest: expected_digest,
-            event,
-        });
-    }
-    Ok(FedLog { header, records })
+/// Any [`LogError`] variant except `Io` and `RejectedEvent`.
+pub fn parse_fed_log(text: &str) -> Result<FedLog, LogError> {
+    chain_log::parse::<FedChain>(text, false)
 }
 
 /// First sequence number where two record streams diverge (comparing
@@ -2339,7 +2139,7 @@ mod tests {
         let mut sim = FederationSim::new(config.clone(), plan.clone(), |_, c| provider(c)).unwrap();
         let outcome = sim.run(None).unwrap();
         let text = render_fed_log(&sim.header(), sim.records());
-        assert!(is_fed_log(&text));
+        assert!(chain_log::has_header::<FedChain>(&text));
         let parsed = parse_fed_log(&text).unwrap();
         assert_eq!(parsed.header, sim.header());
         assert_eq!(parsed.records, sim.records());
@@ -2413,8 +2213,8 @@ mod tests {
         lines[2] = lines[2].replace("\"tick\":", "\"tick\": 9");
         let tampered = lines.join("\n");
         match parse_fed_log(&tampered) {
-            Err(FedLogError::DigestMismatch { seq, .. }) => assert_eq!(seq, 2),
-            Err(FedLogError::Malformed { line, .. }) => assert_eq!(line, 3),
+            Err(LogError::DigestMismatch { seq, .. }) => assert_eq!(seq, 2),
+            Err(LogError::Malformed { line, .. }) => assert_eq!(line, 3),
             other => panic!("tampering undetected: {other:?}"),
         }
     }

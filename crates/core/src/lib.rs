@@ -20,6 +20,8 @@
 //!   plans (seller defaults, crash windows, sensor dropouts) and the
 //!   platform's recovery policy (pro-rata clawback, reliability-scaled
 //!   prices, blacklisting, bounded backfill re-auctions);
+//! * [`chain_log`] — the digest-chained JSONL log codec behind the
+//!   service event log and the federation log;
 //! * [`service`] — the event-sourced auction service: a typed event
 //!   vocabulary, an append-only digest-chained event log, and a pure
 //!   state machine that replays any recorded run byte-identically;
@@ -73,6 +75,7 @@ pub(crate) mod arena;
 pub mod baselines;
 pub mod bid;
 pub mod budget;
+pub mod chain_log;
 pub mod error;
 pub mod federation;
 pub mod live;

@@ -14,9 +14,10 @@
 //!   bids, book caps, bad prices) and leaves the state untouched, or
 //!   accepts it and advances the state — including running a full
 //!   MSOA/recovery stage whenever enough rounds have closed;
-//! * [`LogWriter`] / [`parse_log`] — an append-only JSONL event log with
-//!   a versioned header record and per-record FNV-1a digest chaining, so
-//!   any truncation or tamper is detected at the exact record.
+//! * [`LogWriter`] / [`parse_log`] — the append-only event log, one
+//!   [`crate::chain_log`] format ([`EventLog`]): a versioned header
+//!   record and per-record FNV-1a digest chaining, so any truncation or
+//!   tamper is detected at the exact record.
 //!
 //! **The log is the source of truth.** All effects are injected: the
 //! per-stage base workload comes from a caller-supplied provider
@@ -36,6 +37,7 @@
 //! bit-identical to plain MSOA — the serve baseline of old.
 
 use crate::bid::Bid;
+use crate::chain_log::{self, Chain, Format, Record, Writer};
 use crate::error::AuctionError;
 use crate::live::ServiceLive;
 use crate::msoa::{MsoaConfig, MultiRoundInstance, RoundInput};
@@ -43,11 +45,14 @@ use crate::recovery::{
     run_msoa_with_faults_traced, DefaultEvent, FaultPlan, FaultyMsoaOutcome, RecoveryConfig,
 };
 use edge_common::id::{BidId, MicroserviceId};
+use edge_common::rng::chain_step;
 use edge_telemetry::{Collector, Scoped, Trace, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::io::Write;
+
+pub use crate::chain_log::LogError;
+pub use edge_common::rng::fnv1a64;
 
 /// The event-log schema version this build writes and understands.
 pub const LOG_VERSION: u32 = 1;
@@ -55,17 +60,24 @@ pub const LOG_VERSION: u32 = 1;
 /// Domain separator seeding the header record's digest chain.
 const LOG_GENESIS: &str = "edge-market-event-log";
 
-/// FNV-1a 64 over a byte string — the same fingerprint the scale
-/// benchmark and `serve` use for outcome digests.
-#[must_use]
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// The service event log's [`chain_log`] format: a [`ServiceConfig`]
+/// under `"header"`, then one [`ServiceEvent`] per record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EventLog;
+
+impl Format for EventLog {
+    const TAG: &'static str = LOG_GENESIS;
+    const VERSION: u32 = LOG_VERSION;
+    const HEADER_KEY: &'static str = "header";
+    type Header = ServiceConfig;
+    type Event = ServiceEvent;
 }
+
+/// One parsed, chain-verified event-log record.
+pub type LogRecord = Record<ServiceEvent>;
+
+/// Appends the event log to any writer; see [`chain_log::Writer`].
+pub type LogWriter<W> = Writer<EventLog, W>;
 
 /// One market event, as recorded in the log.
 ///
@@ -377,7 +389,6 @@ impl<P: FnMut(u64, u64) -> MultiRoundInstance> AuctionService<P> {
     /// A fresh service over `config`, drawing stage base instances from
     /// `provider(stage, rounds)`.
     pub fn new(config: ServiceConfig, provider: P) -> Self {
-        let header = serde_json::to_string(&config).expect("config serialization is infallible");
         AuctionService {
             config,
             provider,
@@ -389,7 +400,7 @@ impl<P: FnMut(u64, u64) -> MultiRoundInstance> AuctionService<P> {
             rounds_closed: 0,
             winners: 0,
             total_payment: 0.0,
-            state_digest: fnv1a64(format!("{LOG_GENESIS}:v{LOG_VERSION}:{header}").as_bytes()),
+            state_digest: Chain::start::<EventLog>(&config).digest(),
             last_outcome_digest: None,
             last_sellers_alive: 0,
             events_applied: 0,
@@ -629,13 +640,7 @@ impl<P: FnMut(u64, u64) -> MultiRoundInstance> AuctionService<P> {
         // Fold the accepted event into the state digest before any
         // stage run, so the chain covers the exact event order.
         let canon = serde_json::to_string(event).expect("event serialization is infallible");
-        self.state_digest = fnv1a64(
-            format!(
-                "{:016x}:{}:{}",
-                self.state_digest, self.events_applied, canon
-            )
-            .as_bytes(),
-        );
+        self.state_digest = chain_step(self.state_digest, self.events_applied, canon.as_bytes());
         self.events_applied += 1;
         self.live.record_event(event.kind(), self.book.len());
 
@@ -803,176 +808,6 @@ fn merge_stage(
 // The append-only event log.
 // ---------------------------------------------------------------------
 
-/// One parsed, chain-verified log record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LogRecord {
-    /// Sequence number (1-based; 0 is the header).
-    pub seq: u64,
-    /// The record's chain digest (hex, 16 chars).
-    pub digest: String,
-    /// The event.
-    pub event: ServiceEvent,
-}
-
-/// Event-log reading/validation failure.
-#[derive(Debug)]
-pub enum LogError {
-    /// I/O while reading or appending.
-    Io(std::io::Error),
-    /// The first record is not a well-formed header.
-    MissingHeader,
-    /// A record's schema version is not understood.
-    UnknownVersion {
-        /// The version found.
-        version: u64,
-    },
-    /// A line failed to parse as a log record.
-    Malformed {
-        /// 1-based line number.
-        line: usize,
-        /// What went wrong.
-        detail: String,
-    },
-    /// A record's digest does not extend the chain.
-    DigestMismatch {
-        /// The offending record's sequence number.
-        seq: u64,
-        /// The digest the chain requires.
-        expected: String,
-        /// The digest on the record.
-        found: String,
-    },
-    /// Sequence numbers are not contiguous.
-    SeqGap {
-        /// The sequence number the chain requires.
-        expected: u64,
-        /// The sequence number found.
-        found: u64,
-    },
-    /// A replayed event was rejected — the log does not belong to the
-    /// header's configuration (or was tampered with).
-    RejectedEvent {
-        /// The rejected record's sequence number.
-        seq: u64,
-        /// The admission error.
-        source: ServiceError,
-    },
-}
-
-impl fmt::Display for LogError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LogError::Io(e) => write!(f, "event log io error: {e}"),
-            LogError::MissingHeader => {
-                write!(f, "the log's first record is not a v{LOG_VERSION} header")
-            }
-            LogError::UnknownVersion { version } => {
-                write!(
-                    f,
-                    "unknown event-log version {version} (this build reads v{LOG_VERSION})"
-                )
-            }
-            LogError::Malformed { line, detail } => {
-                write!(f, "malformed log record at line {line}: {detail}")
-            }
-            LogError::DigestMismatch {
-                seq,
-                expected,
-                found,
-            } => write!(
-                f,
-                "digest chain broken at seq {seq}: expected {expected}, found {found}"
-            ),
-            LogError::SeqGap { expected, found } => {
-                write!(f, "sequence gap: expected seq {expected}, found {found}")
-            }
-            LogError::RejectedEvent { seq, source } => {
-                write!(f, "replayed event at seq {seq} was rejected: {source}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for LogError {}
-
-impl From<std::io::Error> for LogError {
-    fn from(e: std::io::Error) -> Self {
-        LogError::Io(e)
-    }
-}
-
-/// The header-record chain digest for a config.
-fn header_digest(config: &ServiceConfig) -> u64 {
-    let header = serde_json::to_string(config).expect("config serialization is infallible");
-    fnv1a64(format!("{LOG_GENESIS}:v{LOG_VERSION}:{header}").as_bytes())
-}
-
-/// The chain digest of record `seq` carrying `event_json`, extending
-/// `prev`.
-fn record_digest(prev: u64, seq: u64, event_json: &str) -> u64 {
-    fnv1a64(format!("{prev:016x}:{seq}:{event_json}").as_bytes())
-}
-
-/// Appends versioned, digest-chained JSONL records to any writer,
-/// flushing after every record so a crash loses at most the record
-/// being written.
-#[derive(Debug)]
-pub struct LogWriter<W: Write> {
-    out: W,
-    seq: u64,
-    digest: u64,
-}
-
-impl<W: Write> LogWriter<W> {
-    /// Writes the header record for `config` and returns the writer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the underlying writer.
-    pub fn new(mut out: W, config: &ServiceConfig) -> Result<Self, LogError> {
-        let header = serde_json::to_string(config).expect("config serialization is infallible");
-        let digest = header_digest(config);
-        writeln!(
-            out,
-            "{{\"v\":{LOG_VERSION},\"seq\":0,\"digest\":\"{digest:016x}\",\"header\":{header}}}"
-        )?;
-        out.flush()?;
-        Ok(LogWriter {
-            out,
-            seq: 0,
-            digest,
-        })
-    }
-
-    /// Appends one accepted event, returning its (seq, digest).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the underlying writer.
-    pub fn append(&mut self, event: &ServiceEvent) -> Result<(u64, String), LogError> {
-        let event_json = serde_json::to_string(event).expect("event serialization is infallible");
-        self.seq += 1;
-        self.digest = record_digest(self.digest, self.seq, &event_json);
-        writeln!(
-            self.out,
-            "{{\"v\":{LOG_VERSION},\"seq\":{},\"digest\":\"{:016x}\",\"event\":{event_json}}}",
-            self.seq, self.digest
-        )?;
-        self.out.flush()?;
-        Ok((self.seq, format!("{:016x}", self.digest)))
-    }
-
-    /// Records appended so far (excluding the header).
-    pub fn len(&self) -> u64 {
-        self.seq
-    }
-
-    /// `true` while only the header has been written.
-    pub fn is_empty(&self) -> bool {
-        self.seq == 0
-    }
-}
-
 /// A fully parsed and chain-verified event log.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParsedLog {
@@ -985,8 +820,8 @@ pub struct ParsedLog {
     pub truncated_tail: bool,
 }
 
-/// Parses a JSONL event log, verifying the version, the sequence
-/// numbering, and the full digest chain.
+/// Parses an event log, verifying the version, the sequence numbering,
+/// and the full digest chain ([`chain_log::parse`]).
 ///
 /// With `lenient_tail`, a malformed *final* line is treated as a
 /// mid-write crash and dropped ([`ParsedLog::truncated_tail`] is set);
@@ -996,119 +831,12 @@ pub struct ParsedLog {
 ///
 /// Any [`LogError`] variant except `Io`/`RejectedEvent`.
 pub fn parse_log(text: &str, lenient_tail: bool) -> Result<ParsedLog, LogError> {
-    let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-    let Some(first) = lines.first() else {
-        return Err(LogError::MissingHeader);
-    };
-    let header_value: serde::Value =
-        serde_json::from_str(first).map_err(|e| LogError::Malformed {
-            line: 1,
-            detail: e.to_string(),
-        })?;
-    let version = envelope_u64(&header_value, "v").ok_or(LogError::MissingHeader)?;
-    if version != u64::from(LOG_VERSION) {
-        return Err(LogError::UnknownVersion { version });
-    }
-    let config_value = header_value.get("header").ok_or(LogError::MissingHeader)?;
-    let config = ServiceConfig::deserialize(config_value).map_err(|_| LogError::MissingHeader)?;
-    let expected_header = header_digest(&config);
-    let found = envelope_digest(&header_value).ok_or(LogError::MissingHeader)?;
-    if found != format!("{expected_header:016x}") {
-        return Err(LogError::DigestMismatch {
-            seq: 0,
-            expected: format!("{expected_header:016x}"),
-            found,
-        });
-    }
-
-    let mut records = Vec::with_capacity(lines.len().saturating_sub(1));
-    let mut chain = expected_header;
-    let mut truncated_tail = false;
-    for (idx, line) in lines.iter().enumerate().skip(1) {
-        let last = idx + 1 == lines.len();
-        let parsed: Result<LogRecord, LogError> = parse_record(line, idx + 1, chain);
-        match parsed {
-            Ok(record) => {
-                let expected_seq = records.len() as u64 + 1;
-                if record.seq != expected_seq {
-                    return Err(LogError::SeqGap {
-                        expected: expected_seq,
-                        found: record.seq,
-                    });
-                }
-                chain = u64::from_str_radix(&record.digest, 16).expect("verified digests are hex");
-                records.push(record);
-            }
-            Err(LogError::Malformed { .. }) if last && lenient_tail => {
-                truncated_tail = true;
-            }
-            Err(e) => return Err(e),
-        }
-    }
+    let log = chain_log::parse::<EventLog>(text, lenient_tail)?;
     Ok(ParsedLog {
-        config,
-        records,
-        truncated_tail,
+        config: log.header,
+        records: log.records,
+        truncated_tail: log.truncated_tail,
     })
-}
-
-/// Parses and chain-checks one event record line.
-fn parse_record(line: &str, line_no: usize, chain: u64) -> Result<LogRecord, LogError> {
-    let value: serde::Value = serde_json::from_str(line).map_err(|e| LogError::Malformed {
-        line: line_no,
-        detail: e.to_string(),
-    })?;
-    let version = envelope_u64(&value, "v").ok_or_else(|| LogError::Malformed {
-        line: line_no,
-        detail: "missing `v`".into(),
-    })?;
-    if version != u64::from(LOG_VERSION) {
-        return Err(LogError::UnknownVersion { version });
-    }
-    let seq = envelope_u64(&value, "seq").ok_or_else(|| LogError::Malformed {
-        line: line_no,
-        detail: "missing `seq`".into(),
-    })?;
-    let digest = envelope_digest(&value).ok_or_else(|| LogError::Malformed {
-        line: line_no,
-        detail: "missing `digest`".into(),
-    })?;
-    let event_value = value.get("event").ok_or_else(|| LogError::Malformed {
-        line: line_no,
-        detail: "missing `event`".into(),
-    })?;
-    let event = ServiceEvent::deserialize(event_value).map_err(|e| LogError::Malformed {
-        line: line_no,
-        detail: e.to_string(),
-    })?;
-    // Re-serialize and extend the chain: the writer emits canonical
-    // JSON, so round-tripping reproduces the exact digested bytes.
-    let event_json = serde_json::to_string(&event).expect("event serialization is infallible");
-    let expected = record_digest(chain, seq, &event_json);
-    if digest != format!("{expected:016x}") {
-        return Err(LogError::DigestMismatch {
-            seq,
-            expected: format!("{expected:016x}"),
-            found: digest,
-        });
-    }
-    Ok(LogRecord { seq, digest, event })
-}
-
-/// Reads an unsigned envelope field.
-fn envelope_u64(value: &serde::Value, key: &str) -> Option<u64> {
-    match value.get(key) {
-        Some(serde::Value::U64(u)) => Some(*u),
-        _ => None,
-    }
-}
-
-/// Reads the envelope digest field.
-fn envelope_digest(value: &serde::Value) -> Option<String> {
-    match value.get("digest") {
-        Some(serde::Value::Str(s)) if s.len() == 16 => Some(s.clone()),
-        _ => None,
-    }
 }
 
 #[cfg(test)]
@@ -1369,7 +1097,7 @@ mod tests {
         let future = text.replace("\"v\":1,\"seq\":0", "\"v\":9,\"seq\":0");
         assert!(matches!(
             parse_log(&future, false),
-            Err(LogError::UnknownVersion { version: 9 })
+            Err(LogError::UnknownVersion { version: 9, .. })
         ));
 
         // A trailing partial record is fatal strictly, dropped leniently.
@@ -1381,6 +1109,25 @@ mod tests {
         let lenient = parse_log(cut, true).unwrap();
         assert!(lenient.truncated_tail);
         assert_eq!(lenient.records.len(), 2);
+    }
+
+    #[test]
+    fn malformed_records_are_reported_at_their_line_in_the_file() {
+        let mut buf = Vec::new();
+        let mut writer = LogWriter::new(&mut buf, &config()).unwrap();
+        writer.append(&ServiceEvent::RoundClosed).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        let (header, record) = text.split_once('\n').unwrap();
+        let cut = &record[..record.len() - 3];
+        // Blank lines are skipped, but still counted: the cut record
+        // sits on line 4 of the file.
+        let text = format!("{header}\n\n  \n{cut}\n");
+        match parse_log(&text, false) {
+            Err(LogError::Malformed { line, .. }) => assert_eq!(line, 4),
+            other => panic!("expected a malformed record at line 4, got {other:?}"),
+        }
+        let lenient = parse_log(&text, true).unwrap();
+        assert!(lenient.truncated_tail && lenient.records.is_empty());
     }
 
     #[test]

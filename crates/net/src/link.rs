@@ -111,14 +111,17 @@ impl LinkModel {
         if u_drop < self.drop_probability {
             return MessageFate::Dropped;
         }
+        // `span` cannot overflow: validation keeps latency_min >= 1. The
+        // extra delays saturate, so a huge latency pins a copy to the
+        // last tick instead of wrapping it to an early one.
         let span = self.latency_max - self.latency_min + 1;
         let mut delay = self.latency_min + scale(u_latency, span);
         let reordered = u_reorder < self.reorder_probability;
         if reordered {
-            delay += 1 + scale(u_reorder_extra, self.reorder_max_extra.max(1));
+            delay = delay.saturating_add(1 + scale(u_reorder_extra, self.reorder_max_extra.max(1)));
         }
         let duplicate_delay = (u_duplicate < self.duplicate_probability)
-            .then(|| delay + 1 + scale(u_duplicate_extra, span));
+            .then(|| delay.saturating_add(1 + scale(u_duplicate_extra, span)));
         MessageFate::Delivered {
             delay,
             duplicate_delay,

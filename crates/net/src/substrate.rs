@@ -15,7 +15,7 @@
 
 use crate::live::NetLive;
 use crate::plan::{NetConfigError, NetFaultPlan};
-use edge_common::rng::{derive_rng, fnv1a64};
+use edge_common::rng::{chain_genesis, chain_step, derive_rng};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -175,7 +175,7 @@ impl<M: Serialize + Clone> Network<M> {
         }
         plan.validate(nodes)?;
         let header = serde_json::to_string(&plan).expect("plan serialization is infallible");
-        let digest = fnv1a64(format!("{NET_GENESIS}:v{NET_VERSION}:{header}").as_bytes());
+        let digest = chain_genesis(NET_GENESIS, NET_VERSION, header.as_bytes());
         let live = NetLive::handle();
         live.clock.set(0.0);
         Ok(Network {
@@ -282,9 +282,12 @@ impl<M: Serialize + Clone> Network<M> {
                     self.stats.reordered += 1;
                     self.live.reordered.incr();
                 }
-                self.enqueue(from, to, seq, false, self.clock + delay, payload.clone());
+                // Saturating: a message due past the last tick is never
+                // delivered, instead of wrapping around to an early tick.
+                let deliver_at = self.clock.saturating_add(delay);
+                self.enqueue(from, to, seq, false, deliver_at, payload.clone());
                 if let Some(extra) = duplicate_delay {
-                    let deliver_at = self.clock + extra;
+                    let deliver_at = self.clock.saturating_add(extra);
                     self.stats.duplicated += 1;
                     self.live.duplicated.incr();
                     self.record(NetEvent::Duplicated {
@@ -386,8 +389,7 @@ impl<M: Serialize + Clone> Network<M> {
 
     fn record(&mut self, event: NetEvent) {
         let json = serde_json::to_string(&event).expect("event serialization is infallible");
-        self.digest =
-            fnv1a64(format!("{:016x}:{}:{json}", self.digest, self.events_folded).as_bytes());
+        self.digest = chain_step(self.digest, self.events_folded, json.as_bytes());
         self.events_folded += 1;
         self.pending_events.push(event);
     }
@@ -495,6 +497,32 @@ mod tests {
         net.send(0, 1, 7);
         assert_eq!(net.stats().reordered, 1);
         assert_eq!(net.stats().dropped_loss, 0);
+    }
+
+    #[test]
+    fn latencies_past_the_last_tick_never_deliver() {
+        // u64::MAX-tick links: every latency sum saturates rather than
+        // overflowing, so no message ever arrives — duplicates and
+        // reordered copies included.
+        for (reorder, duplicate) in [(0.0, 0.0), (1.0, 1.0)] {
+            let mut plan = NetFaultPlan::ideal(9);
+            plan.link.latency_min = u64::MAX;
+            plan.link.latency_max = u64::MAX;
+            plan.link.reorder_probability = reorder;
+            plan.link.duplicate_probability = duplicate;
+            let mut net: Network<u64> = Network::new(2, plan).unwrap();
+            for i in 0..8 {
+                net.send(0, 1, i);
+                net.send(1, 0, i);
+                assert!(net.tick().is_empty());
+            }
+            for _ in 0..8 {
+                assert!(net.tick().is_empty());
+            }
+            assert_eq!(net.stats().sent, 16);
+            assert_eq!(net.stats().delivered, 0);
+            assert!(!net.idle(), "undeliverable messages stay queued");
+        }
     }
 
     #[test]

@@ -516,15 +516,22 @@ pub mod json {
         out.push('"');
     }
 
+    /// The deepest array/object nesting [`parse`] accepts — serde_json's
+    /// default recursion limit. The parser recurses once per level, so
+    /// without a bound a few kilobytes of `[` overflow the stack of
+    /// whichever thread reads them.
+    pub const MAX_DEPTH: usize = 128;
+
     /// Parses JSON text into a [`Value`].
     ///
     /// # Errors
     ///
-    /// Returns [`DeError`] with a byte offset on malformed input.
+    /// Returns [`DeError`] with a byte offset on malformed input or on
+    /// nesting deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Value, DeError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(DeError(format!("trailing characters at byte {pos}")));
@@ -547,8 +554,14 @@ pub mod json {
         }
     }
 
-    fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, DeError> {
+    /// Parses one value nested inside `depth` arrays/objects.
+    fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, DeError> {
         skip_ws(bytes, pos);
+        if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+            return Err(DeError(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {pos}"
+            )));
+        }
         match bytes.get(*pos) {
             None => Err(DeError("unexpected end of input".into())),
             Some(b'n') => parse_lit(bytes, pos, b"null", Value::Null),
@@ -564,7 +577,7 @@ pub mod json {
                     return Ok(Value::Array(items));
                 }
                 loop {
-                    items.push(parse_value(bytes, pos)?);
+                    items.push(parse_value(bytes, pos, depth + 1)?);
                     skip_ws(bytes, pos);
                     match bytes.get(*pos) {
                         Some(b',') => *pos += 1,
@@ -589,7 +602,7 @@ pub mod json {
                     let key = parse_string(bytes, pos)?;
                     skip_ws(bytes, pos);
                     expect(bytes, pos, b':')?;
-                    let value = parse_value(bytes, pos)?;
+                    let value = parse_value(bytes, pos, depth + 1)?;
                     fields.push((key, value));
                     skip_ws(bytes, pos);
                     match bytes.get(*pos) {
@@ -738,6 +751,22 @@ mod tests {
         assert_eq!(v.get("3"), Some(&Value::Str("x".into())));
         let back: BTreeMap<u64, String> = Deserialize::deserialize(&v).unwrap();
         assert_eq!(back, m);
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(json::parse(&nested(json::MAX_DEPTH)).is_ok());
+        let err = json::parse(&nested(json::MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.0.contains("nesting deeper than 128"), "{}", err.0);
+        let objects = format!("{}1{}", "{\"a\":".repeat(129), "}".repeat(129));
+        assert!(json::parse(&objects).is_err());
+        // An 8 KiB body of `[` on a spawned thread (2 MiB stack, like
+        // an HTTP handler's) is rejected, not a stack overflow that
+        // aborts the process.
+        let body = "[".repeat(8192);
+        let verdict = std::thread::spawn(move || json::parse(&body).is_err()).join();
+        assert!(verdict.unwrap());
     }
 
     #[test]

@@ -7,10 +7,12 @@
 //! critical-value pricing and the per-round filter-and-scale pass. Each
 //! cell (`n` sellers × `rounds` × thread count) runs the same deterministic
 //! [`crate::scenario::scale_instance`] several times and records the
-//! **median** wall-clock plus the pricing-phase counters drained from
-//! [`edge_telemetry::pricing`]; the replay/prefix iteration counts are
-//! thread- and clock-independent, so they hold as evidence even on a
-//! single-core runner where wall-clock speedup cannot show.
+//! **median** wall-clock. The phase columns come from the span tree
+//! [`edge_telemetry::spans::collect`] gathers around each measured run:
+//! `selection`, `merge` and `pricing` span times, and the replay
+//! counters on the `pricing` span. The replay/prefix iteration counts
+//! are thread- and clock-independent, so they hold as evidence even on
+//! a single-core runner where wall-clock speedup cannot show.
 //!
 //! Every cell also carries an FNV-1a digest of the serialized outcome.
 //! Digests must agree across thread counts for the same `n` — the
@@ -23,6 +25,7 @@ use crate::table::Table;
 use edge_auction::msoa::{run_msoa, MsoaConfig};
 use edge_auction::{pricing_threads_setting, set_pricing_threads};
 use edge_common::rng::{derive_rng, fnv1a64};
+use edge_telemetry::spans::{self, SpanTree};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -218,6 +221,44 @@ fn median(mut xs: Vec<u64>) -> u64 {
     xs[xs.len() / 2]
 }
 
+/// What one measured run's span tree says about its phases: span
+/// wall-clock summed over rounds, and the replay counters the `pricing`
+/// span carries.
+#[derive(Debug, Default, Clone, Copy)]
+struct Phases {
+    pricing_ns: u64,
+    selection_ns: u64,
+    merge_ns: u64,
+    replays: u64,
+    replay_iterations: u64,
+    prefix_iterations: u64,
+}
+
+impl Phases {
+    fn of(tree: &SpanTree) -> Self {
+        let mut phases = Phases::default();
+        for view in tree.views() {
+            match view.name {
+                "selection" => phases.selection_ns += view.total_ns,
+                "merge" => phases.merge_ns += view.total_ns,
+                "pricing" => {
+                    phases.pricing_ns += view.total_ns;
+                    for &(key, v) in &view.counters {
+                        match key {
+                            "replays" => phases.replays += v,
+                            "replay_iterations" => phases.replay_iterations += v,
+                            "prefix_iterations" => phases.prefix_iterations += v,
+                            _ => {}
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        phases
+    }
+}
+
 /// Per-rep samples accumulated for one configuration of a population.
 #[derive(Default)]
 struct CellSamples {
@@ -229,10 +270,7 @@ struct CellSamples {
     /// *immediately before* the matching `pricing_ns` entry — the
     /// tightest pairing available for the speedup ratio.
     paired_base_ns: Vec<u64>,
-    last: Option<(
-        edge_auction::msoa::MsoaOutcome,
-        edge_telemetry::pricing::PricingSnapshot,
-    )>,
+    last: Option<(edge_auction::msoa::MsoaOutcome, Phases)>,
 }
 
 /// Runs all of one population's configurations with **interleaved**
@@ -264,14 +302,12 @@ fn run_row(n: usize, configs: &[usize]) -> (Vec<ScaleCell>, Vec<Option<f64>>) {
 
     let measure = |threads: usize| {
         set_pricing_threads(threads);
-        let before = edge_telemetry::pricing::snapshot();
-        let sel_before = edge_telemetry::selection::snapshot();
-        let start = Instant::now();
-        let outcome = run_msoa(&instance, &config).expect("scale instances are feasible");
-        let total = start.elapsed().as_nanos() as u64;
-        let delta = edge_telemetry::pricing::snapshot().delta_since(&before);
-        let sel_delta = edge_telemetry::selection::snapshot().delta_since(&sel_before);
-        (total, delta, sel_delta, outcome)
+        let ((total, outcome), tree) = spans::collect(|| {
+            let start = Instant::now();
+            let outcome = run_msoa(&instance, &config).expect("scale instances are feasible");
+            (start.elapsed().as_nanos() as u64, outcome)
+        });
+        (total, Phases::of(&tree), outcome)
     };
 
     // Floor estimate per side: the *second*-smallest sample. A plain
@@ -299,15 +335,15 @@ fn run_row(n: usize, configs: &[usize]) -> (Vec<ScaleCell>, Vec<Option<f64>>) {
             // tighter than pairing against the base cell's own rep,
             // which ran several configurations earlier.
             if base_at.is_some_and(|b| b != ci) {
-                let (_, base_delta, _, _) = measure(1);
-                cell.paired_base_ns.push(base_delta.nanos);
+                let (_, base, _) = measure(1);
+                cell.paired_base_ns.push(base.pricing_ns);
             }
-            let (total, delta, sel_delta, outcome) = measure(threads);
+            let (total, phases, outcome) = measure(threads);
             cell.totals.push(total);
-            cell.pricing_ns.push(delta.nanos);
-            cell.selection_ns.push(sel_delta.selection_ns);
-            cell.merge_ns.push(sel_delta.merge_ns);
-            cell.last = Some((outcome, delta));
+            cell.pricing_ns.push(phases.pricing_ns);
+            cell.selection_ns.push(phases.selection_ns);
+            cell.merge_ns.push(phases.merge_ns);
+            cell.last = Some((outcome, phases));
         }
     }
 
@@ -335,14 +371,14 @@ fn run_row(n: usize, configs: &[usize]) -> (Vec<ScaleCell>, Vec<Option<f64>>) {
                 if !in_band || settled {
                     break;
                 }
-                let (_, base_delta, _, _) = measure(1);
-                let (total, delta, sel_delta, _) = measure(threads);
+                let (_, base, _) = measure(1);
+                let (total, phases, _) = measure(threads);
                 let cell = &mut samples[ci];
-                cell.paired_base_ns.push(base_delta.nanos);
+                cell.paired_base_ns.push(base.pricing_ns);
                 cell.totals.push(total);
-                cell.pricing_ns.push(delta.nanos);
-                cell.selection_ns.push(sel_delta.selection_ns);
-                cell.merge_ns.push(sel_delta.merge_ns);
+                cell.pricing_ns.push(phases.pricing_ns);
+                cell.selection_ns.push(phases.selection_ns);
+                cell.merge_ns.push(phases.merge_ns);
             }
         }
     }
@@ -361,7 +397,7 @@ fn run_row(n: usize, configs: &[usize]) -> (Vec<ScaleCell>, Vec<Option<f64>>) {
                     _ => None,
                 },
             );
-            let (outcome, counters) = cell.last.expect("SCALE_REPS >= 1");
+            let (outcome, phases) = cell.last.expect("SCALE_REPS >= 1");
             let reps = cell.pricing_ns.len();
             let median_total_ns = median(cell.totals);
             let min_pricing_ns = cell.pricing_ns.iter().copied().min().unwrap_or(0);
@@ -369,7 +405,7 @@ fn run_row(n: usize, configs: &[usize]) -> (Vec<ScaleCell>, Vec<Option<f64>>) {
             let payments_per_sec = if median_pricing_ns == 0 {
                 0.0
             } else {
-                counters.replays as f64 / (median_pricing_ns as f64 / 1e9)
+                phases.replays as f64 / (median_pricing_ns as f64 / 1e9)
             };
             let serialized = serde_json::to_string(&outcome).expect("outcomes are plain data");
             ScaleCell {
@@ -382,9 +418,9 @@ fn run_row(n: usize, configs: &[usize]) -> (Vec<ScaleCell>, Vec<Option<f64>>) {
                 median_pricing_ns,
                 min_pricing_ns,
                 payments_per_sec,
-                payment_replays: counters.replays,
-                replay_iterations: counters.replay_iterations,
-                prefix_iterations: counters.prefix_iterations,
+                payment_replays: phases.replays,
+                replay_iterations: phases.replay_iterations,
+                prefix_iterations: phases.prefix_iterations,
                 selection_ns: median(cell.selection_ns),
                 merge_ns: median(cell.merge_ns),
                 outcome_digest: format!("{:016x}", fnv1a64(serialized.as_bytes())),
@@ -544,6 +580,14 @@ mod tests {
         assert_eq!(base.threads, 1);
         for cell in &report.cells {
             assert_eq!(cell.outcome_digest, base.outcome_digest);
+            // The span tree timed every phase: merge is part of
+            // selection, and both ran.
+            assert!(cell.selection_ns >= cell.merge_ns, "{cell:?}");
+            assert!(cell.merge_ns > 0, "{cell:?}");
+            assert!(cell.median_pricing_ns > 0, "{cell:?}");
+            assert_eq!(cell.payment_replays, base.payment_replays);
+            assert_eq!(cell.replay_iterations, base.replay_iterations);
+            assert_eq!(cell.prefix_iterations, base.prefix_iterations);
         }
         assert_eq!(report.speedups.len(), 2, "every non-base config compared");
         assert!(report.speedups.iter().all(|s| s.identical_outcomes));

@@ -81,14 +81,8 @@ pub fn profile(args: &ParsedArgs) -> Result<String, CliError> {
     // test suite) sees no leakage.
     let saved_threads = edge_auction::pricing_threads_setting();
     apply_pricing_threads(args)?;
-    spans::install();
-    let run = run_instance(args, n, rounds, seed, &recovery, plan.as_ref());
-    let tree = spans::uninstall().unwrap_or_else(|| {
-        // Only reachable if something re-installed mid-run; render an
-        // empty report rather than crash.
-        spans::install();
-        spans::uninstall().expect("freshly installed tree")
-    });
+    let (run, tree) =
+        spans::collect(|| run_instance(args, n, rounds, seed, &recovery, plan.as_ref()));
     edge_auction::set_pricing_threads(saved_threads);
     let (summary, collector) = run?;
 

@@ -37,8 +37,10 @@ fn malformed_multi_round_files_exit_1_with_the_constructor_error() {
             &format!(r#"{{"estimated_demand":2,"true_demand":2,"bids":[{bid}]}}"#),
         )
     };
+    let twice = r#"{"sellers":[{"id":0,"capacity":10,"window":[0,1]},{"id":0,"capacity":1,"window":[0,1]}],"rounds":[{"estimated_demand":2,"true_demand":2,"bids":[]}]}"#;
     let cases = [
         (round(bid(5, 0, 2, 1.0)), "undeclared seller 5"),
+        (twice.to_owned(), "seller table lists seller 0 twice"),
         (file("[0,1]", ""), "instance has no rounds"),
         (round(bid(0, 0, 0, 1.0)), "zero resource units"),
         (round(bid(0, 0, 2, -1.0)), "not a valid price"),

@@ -21,6 +21,8 @@ pub enum AuctionError {
     /// A seller referenced in a round's bids is not declared in the
     /// instance's seller table.
     UnknownSeller(usize),
+    /// A multi-round instance's seller table lists one seller id twice.
+    DuplicateSeller(usize),
     /// A multi-round instance declared zero rounds.
     EmptyInstance,
     /// A seller's availability window is inverted (`t⁻ > t⁺`).
@@ -51,6 +53,7 @@ impl fmt::Display for AuctionError {
             AuctionError::ZeroAmountBid => write!(f, "bid offers zero resource units"),
             AuctionError::InvalidPrice(p) => write!(f, "bid price {p} is not a valid price"),
             AuctionError::UnknownSeller(i) => write!(f, "bid references undeclared seller {i}"),
+            AuctionError::DuplicateSeller(i) => write!(f, "seller table lists seller {i} twice"),
             AuctionError::EmptyInstance => write!(f, "instance has no rounds"),
             AuctionError::InvalidWindow { start, end } => {
                 write!(f, "availability window [{start}, {end}] is inverted")

@@ -71,14 +71,16 @@ pub struct FederationConfig {
     /// Ticks between round closes (every node closes on the cadence).
     pub round_ticks: u64,
     /// Base deadline, in ticks, for each deal phase; retry `n` waits
-    /// `offer_timeout << n`.
+    /// `offer_timeout · 2ⁿ`. Deadlines saturate at tick `u64::MAX`,
+    /// which never comes, so any value is safe.
     pub offer_timeout: u64,
     /// Retries per deal phase before giving up.
     pub max_retries: u32,
     /// Whether timed-out phases retry at all (the bench's recovery
     /// on/off axis).
     pub retries_enabled: bool,
-    /// Ticks a seller holds a reservation before releasing the surplus.
+    /// Ticks a seller holds a reservation before releasing the surplus
+    /// (saturating, like the deal deadlines).
     pub reserve_ttl: u64,
     /// Cap on units per deal.
     pub max_deal_units: u64,
@@ -807,7 +809,7 @@ impl<P: FnMut(u64, u64) -> MultiRoundInstance> FederationNode<P> {
                 max_unit_price: quote.unit_price,
                 phase: DealPhase::Offering,
                 attempt: 0,
-                deadline: now + self.timeouts_cfg.0,
+                deadline: now.saturating_add(self.timeouts_cfg.0),
             },
         );
         self.counters.deals_opened += 1;
@@ -940,7 +942,7 @@ impl<P: FnMut(u64, u64) -> MultiRoundInstance> FederationNode<P> {
         match verdict {
             Ok(unit_price) => {
                 self.surplus -= units;
-                let expires = now + self.reserve_ttl;
+                let expires = now.saturating_add(self.reserve_ttl);
                 self.reservations.insert(
                     deal,
                     Reservation {
@@ -1001,7 +1003,7 @@ impl<P: FnMut(u64, u64) -> MultiRoundInstance> FederationNode<P> {
         }
         open.phase = DealPhase::Committing { units, unit_price };
         open.attempt = 0;
-        open.deadline = now + self.timeouts_cfg.0;
+        open.deadline = now.saturating_add(self.timeouts_cfg.0);
         effects.send(open.seller, FedMsg::Commit { deal, attempt: 0 });
     }
 
@@ -1154,7 +1156,8 @@ impl<P: FnMut(u64, u64) -> MultiRoundInstance> FederationNode<P> {
             });
             if retrying {
                 open.attempt += 1;
-                open.deadline = now + (timeout << open.attempt.min(16));
+                let backoff = timeout.saturating_mul(1 << open.attempt.min(16));
+                open.deadline = now.saturating_add(backoff);
                 self.counters.retries += 1;
                 let msg = match open.phase {
                     DealPhase::Offering => FedMsg::Offer {
@@ -2091,6 +2094,21 @@ mod tests {
         assert!(records
             .iter()
             .any(|r| matches!(r.event, FedEvent::DealApplied { .. })));
+    }
+
+    #[test]
+    fn unbounded_deadlines_never_fire() {
+        // A deadline past the last tick saturates there instead of
+        // wrapping to an early one (or overflowing in a debug build).
+        let mut config = small_config(9, 3);
+        config.offer_timeout = u64::MAX;
+        config.reserve_ttl = u64::MAX;
+        let (outcome, records) = run_once(config, NetFaultPlan::ideal(1));
+        let opened: u64 = outcome.nodes.iter().map(|n| n.counters.deals_opened).sum();
+        assert!(opened > 0, "no deals opened: {outcome:?}");
+        assert!(!records
+            .iter()
+            .any(|r| matches!(r.event, FedEvent::Timeout { .. })));
     }
 
     #[test]

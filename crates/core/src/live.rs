@@ -8,16 +8,14 @@
 //! round — strictly *reads* of auction state, so recording can never
 //! perturb an outcome or a deterministic trace.
 //!
-//! Pricing effort is attributed per round by diffing the ambient
-//! [`edge_telemetry::pricing`] totals around the payment phase
-//! ([`PricingSnapshot::delta_since`]). Those statics are process-global
-//! by design (they must stay out of the deterministic trace), so when
-//! several auctions run concurrently — e.g. the parallel bench sweep —
-//! a round's delta may include another thread's pricing work. The
-//! `_total` counters stay exact; the per-round summaries are
-//! best-effort attribution and documented as such in DESIGN.md §12.
+//! Pricing effort is the round's own [`SsamStats`] — the primary
+//! auction's plus every backfill rung's — handed over by the round loop,
+//! so the `edge_pricing_*` counters and per-round summaries are exact
+//! even when several auctions run concurrently. Pricing wall-clock is
+//! not a family here: the `pricing` span already times it into
+//! `edge_profile_stage_ns{stage="pricing"}`.
 
-use edge_telemetry::pricing::PricingSnapshot;
+use crate::ssam::SsamStats;
 use edge_telemetry::registry::global;
 use edge_telemetry::{Counter, Gauge, Summary};
 use std::sync::Arc;
@@ -36,11 +34,9 @@ pub(crate) struct AuctionLive {
     replays: Arc<Counter>,
     replay_iterations: Arc<Counter>,
     prefix_iterations: Arc<Counter>,
-    pricing_nanos: Arc<Counter>,
     replays_per_round: Arc<Summary>,
     replay_iterations_per_round: Arc<Summary>,
     prefix_iterations_per_round: Arc<Summary>,
-    pricing_nanos_per_round: Arc<Summary>,
 }
 
 impl AuctionLive {
@@ -103,29 +99,19 @@ impl AuctionLive {
                 "Replay iterations answered O(1) from the shared prefix",
                 &[],
             ),
-            pricing_nanos: r.counter(
-                "edge_pricing_nanos_total",
-                "Wall-clock nanoseconds spent in the payment phase",
-                &[],
-            ),
             replays_per_round: r.summary(
                 "edge_pricing_replays_per_round",
-                "Payment replays per auction round (best-effort attribution)",
+                "Payment replays per auction round",
                 &[],
             ),
             replay_iterations_per_round: r.summary(
                 "edge_pricing_replay_iterations_per_round",
-                "Replay iterations per auction round (best-effort attribution)",
+                "Replay iterations per auction round",
                 &[],
             ),
             prefix_iterations_per_round: r.summary(
                 "edge_pricing_prefix_iterations_per_round",
-                "Prefix-answered iterations per auction round (best-effort attribution)",
-                &[],
-            ),
-            pricing_nanos_per_round: r.summary(
-                "edge_pricing_round_nanos",
-                "Payment-phase nanoseconds per auction round (best-effort attribution)",
+                "Prefix-answered iterations per auction round",
                 &[],
             ),
         }
@@ -133,7 +119,8 @@ impl AuctionLive {
 
     /// Records one finished round. `supplied` is the winners' total
     /// committed units; `chi_sum`/`capacity_sum` the consumed and total
-    /// seller capacity after the round's ψ/χ updates.
+    /// seller capacity after the round's ψ/χ updates; `pricing` the
+    /// round's summed auction counters.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn record_round(
         &self,
@@ -146,7 +133,7 @@ impl AuctionLive {
         psi_max: f64,
         chi_sum: u64,
         capacity_sum: u64,
-        pricing: &PricingSnapshot,
+        pricing: &SsamStats,
     ) {
         self.rounds.incr();
         self.winners.add(winners as u64);
@@ -166,16 +153,14 @@ impl AuctionLive {
         } else {
             chi_sum as f64 / capacity_sum as f64
         });
-        self.replays.add(pricing.replays);
+        self.replays.add(pricing.payment_replays);
         self.replay_iterations.add(pricing.replay_iterations);
         self.prefix_iterations.add(pricing.prefix_iterations);
-        self.pricing_nanos.add(pricing.nanos);
-        self.replays_per_round.observe(pricing.replays);
+        self.replays_per_round.observe(pricing.payment_replays);
         self.replay_iterations_per_round
             .observe(pricing.replay_iterations);
         self.prefix_iterations_per_round
             .observe(pricing.prefix_iterations);
-        self.pricing_nanos_per_round.observe(pricing.nanos);
     }
 }
 
@@ -331,7 +316,7 @@ mod tests {
             "edge_auction_payment_total",
             "edge_auction_coverage_ratio",
             "edge_pricing_replays_total",
-            "edge_pricing_round_nanos",
+            "edge_pricing_replays_per_round",
             "edge_recovery_defaults_total",
             "edge_recovery_blacklist_size",
             "edge_service_events_total",
@@ -357,11 +342,11 @@ mod tests {
             0.5,
             10,
             100,
-            &PricingSnapshot {
-                replays: 3,
+            &SsamStats {
+                payment_replays: 3,
                 replay_iterations: 30,
                 prefix_iterations: 20,
-                nanos: 1_000,
+                ..SsamStats::default()
             },
         );
         assert_eq!(live.rounds.get(), before + 1);

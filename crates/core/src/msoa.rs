@@ -46,11 +46,11 @@
 
 use crate::bid::{Bid, Seller};
 use crate::error::AuctionError;
-use crate::ssam::{run_ssam_traced, SsamConfig, WinningBid};
+use crate::ssam::{run_ssam_counted, SsamConfig, SsamStats, WinningBid};
 use crate::wsp::WspInstance;
 use edge_common::id::{BidId, MicroserviceId};
 use edge_common::units::Price;
-use edge_telemetry::{event, Level, Scoped, Trace, Value};
+use edge_telemetry::{Level, Scoped, Trace, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -92,17 +92,22 @@ impl MultiRoundInstance {
     /// # Errors
     ///
     /// * [`AuctionError::EmptyInstance`] — no rounds.
+    /// * [`AuctionError::DuplicateSeller`] — the table lists one seller
+    ///   id twice.
     /// * [`AuctionError::UnknownSeller`] — a bid references a seller not
     ///   in the table.
     pub fn new(sellers: Vec<Seller>, rounds: Vec<RoundInput>) -> Result<Self, AuctionError> {
         if rounds.is_empty() {
             return Err(AuctionError::EmptyInstance);
         }
-        let known: std::collections::BTreeSet<MicroserviceId> =
-            sellers.iter().map(|s| s.id).collect();
+        let mut known: Vec<MicroserviceId> = sellers.iter().map(|s| s.id).collect();
+        known.sort_unstable();
+        if let Some(pair) = known.windows(2).find(|pair| pair[0] == pair[1]) {
+            return Err(AuctionError::DuplicateSeller(pair[0].index()));
+        }
         for round in &rounds {
             for bid in &round.bids {
-                if !known.contains(&bid.seller) {
+                if known.binary_search(&bid.seller).is_err() {
                     return Err(AuctionError::UnknownSeller(bid.seller.index()));
                 }
             }
@@ -202,13 +207,11 @@ pub(crate) fn resolve_alpha(instance: &MultiRoundInstance, config: &MsoaConfig) 
         None => {
             static WARN_ONCE: std::sync::Once = std::sync::Once::new();
             WARN_ONCE.call_once(|| {
-                // Through the telemetry layer: with no subscriber this
-                // falls back to the same `warning: ...` stderr line the
-                // bare eprintln! used to produce.
-                event!(warn: "msoa.alpha_derived",
-                    message = "MsoaConfig.alpha is None; deriving α from submitted bids. \
+                eprintln!(
+                    "warning: MsoaConfig.alpha is None; deriving α from submitted bids. \
                      A derived α depends on reports, which voids the truthfulness guarantee \
-                     — pin it with MsoaConfig::pinned(α) for incentive experiments.");
+                     — pin it with MsoaConfig::pinned(α) for incentive experiments."
+                );
             });
             instance.derive_alpha()
         }
@@ -399,11 +402,11 @@ pub fn run_msoa_traced(
         drop(patch_span);
 
         let demand = input.estimated_demand;
-        let pricing_before = edge_telemetry::pricing::snapshot();
         let stage = run_stage(demand, admitted, &input.bids, &config.ssam, t, trace)?;
         let infeasible = stage.is_none() && demand > 0;
+        let (won, pricing) = stage.unwrap_or_default();
         let mut winners = Vec::new();
-        for (w, original) in stage.into_iter().flatten() {
+        for (w, original) in won {
             let si = index_of[&w.seller];
             let psi_before = ledger.psi[si];
             ledger.settle_win(si, original.amount, original.price);
@@ -451,7 +454,6 @@ pub fn run_msoa_traced(
         });
         // Live metrics: strictly reads of round state, after the trace
         // events, so neither outcomes nor traces can be perturbed.
-        let pricing_delta = edge_telemetry::pricing::snapshot().delta_since(&pricing_before);
         let supplied: u64 = result.winners.iter().map(|w| w.amount).sum();
         let psi_max = ledger.psi.iter().copied().fold(0.0f64, f64::max);
         live.record_round(
@@ -464,7 +466,7 @@ pub fn run_msoa_traced(
             psi_max,
             ledger.chi.iter().sum(),
             capacity_sum,
-            &pricing_delta,
+            &pricing,
         );
         rounds.push(result);
     }
@@ -567,10 +569,15 @@ impl Admitted {
     }
 }
 
+/// One cleared stage: each winner, in selection order, paired with the
+/// input bid it competed with, plus the auction's work counters.
+pub(crate) type Stage<'a> = (Vec<(WinningBid, &'a Bid)>, SsamStats);
+
 /// Runs one SSAM stage over the admitted bids and pairs each winner, in
 /// selection order, with the input bid it competed with. Infeasible
-/// demand maps to `None`; any other error propagates. The nested
-/// auction's trace events are stamped with the round index.
+/// demand maps to `None` (an auction that never priced anything); any
+/// other error propagates. The nested auction's trace events are
+/// stamped with the round index.
 pub(crate) fn run_stage<'a>(
     demand: u64,
     admitted: Admitted,
@@ -578,20 +585,23 @@ pub(crate) fn run_stage<'a>(
     config: &SsamConfig,
     t: u64,
     trace: Trace<'_>,
-) -> Result<Option<Vec<(WinningBid, &'a Bid)>>, AuctionError> {
+) -> Result<Option<Stage<'a>>, AuctionError> {
     let scoped = trace
         .sink()
         .map(|s| Scoped::new(s, vec![("round", Value::from(t))]));
     let ssam_trace = scoped.as_ref().map_or(Trace::off(), |s| Trace::new(s));
     let cleared = WspInstance::new(demand, admitted.scaled)
-        .and_then(|inst| run_ssam_traced(&inst, config, ssam_trace));
-    let outcome = match cleared {
+        .and_then(|inst| run_ssam_counted(&inst, config, ssam_trace));
+    let (outcome, stats) = match cleared {
         Ok(o) => o,
         Err(AuctionError::InfeasibleDemand { .. }) => return Ok(None),
         Err(e) => return Err(e),
     };
     let originals = resolve_winners(&outcome.winners, &admitted.positions, input);
-    Ok(Some(outcome.winners.into_iter().zip(originals).collect()))
+    Ok(Some((
+        outcome.winners.into_iter().zip(originals).collect(),
+        stats,
+    )))
 }
 
 /// Finds, for each winner, the admitted input bid it competed with.
@@ -655,6 +665,23 @@ pub(crate) mod tests {
         )
         .unwrap_err();
         assert_eq!(err, AuctionError::UnknownSeller(7));
+    }
+
+    #[test]
+    fn validates_duplicate_sellers() {
+        // Two table entries for one id would leave the ψ/χ ledger and β
+        // reading whichever entry a lookup happened to keep.
+        let err = MultiRoundInstance::new(
+            vec![
+                seller(0, 10, (0, 0)),
+                seller(1, 10, (0, 0)),
+                seller(0, 1, (0, 0)),
+            ],
+            vec![RoundInput::new(1, 1, vec![bid(0, 0, 1, 1.0)])],
+        )
+        .unwrap_err();
+        assert_eq!(err, AuctionError::DuplicateSeller(0));
+        assert_eq!(err.to_string(), "seller table lists seller 0 twice");
     }
 
     #[test]

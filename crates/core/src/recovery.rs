@@ -71,7 +71,7 @@
 use crate::bid::{Bid, Seller};
 use crate::error::AuctionError;
 use crate::msoa::{resolve_alpha, run_stage, Admitted, Ledger, MsoaConfig, MultiRoundInstance};
-use crate::ssam::WinningBid;
+use crate::ssam::{SsamStats, WinningBid};
 use edge_common::id::{BidId, MicroserviceId};
 use edge_common::indicator::{Indicator, ObservedIndicators};
 use edge_common::rng::derive_rng;
@@ -666,7 +666,7 @@ pub fn run_msoa_with_faults_traced(
         let t = t as u64;
         let demand = input.estimated_demand;
         let observed = plan.observed(t);
-        let pricing_before = edge_telemetry::pricing::snapshot();
+        let mut pricing = SsamStats::default();
         let mut book = RoundBook::default();
 
         trace.emit_with(Level::Info, "round.start", || {
@@ -717,7 +717,8 @@ pub fn run_msoa_with_faults_traced(
         drop(patch_span);
         let primary = run_stage(demand, admitted, &input.bids, &config.ssam, t, trace)?;
         let primary_infeasible = primary.is_none() && demand > 0;
-        if let Some(won) = primary {
+        if let Some((won, stats)) = primary {
+            pricing.absorb(stats);
             market.settle(t, won, false, &mut book);
         }
         let mut shortfall = demand.saturating_sub(book.delivered);
@@ -756,9 +757,10 @@ pub fn run_msoa_with_faults_traced(
                 }
                 // An infeasible rung still spends its attempt; the next
                 // rung relaxes further.
-                if let Some(won) =
+                if let Some((won, stats)) =
                     run_stage(shortfall, candidates, &input.bids, &config.ssam, t, trace)?
                 {
+                    pricing.absorb(stats);
                     market.settle(t, won, true, &mut book);
                     shortfall = demand.saturating_sub(book.delivered);
                 }
@@ -802,7 +804,6 @@ pub fn run_msoa_with_faults_traced(
         // recovery pipeline feeds the auction families too — `serve`
         // always drives this path (empty plans are bit-identical to
         // plain MSOA).
-        let pricing_delta = edge_telemetry::pricing::snapshot().delta_since(&pricing_before);
         let supplied: u64 = winners.iter().map(|w| w.committed).sum();
         let psi_max = market.ledger.psi.iter().copied().fold(0.0f64, f64::max);
         auction_live.record_round(
@@ -815,7 +816,7 @@ pub fn run_msoa_with_faults_traced(
             psi_max,
             market.ledger.chi.iter().sum(),
             capacity_sum,
-            &pricing_delta,
+            &pricing,
         );
         recovery_live.record_round(
             winners.iter().filter(|w| w.delivered < w.committed).count() as u64,

@@ -201,7 +201,8 @@ impl ArgminStats {
 /// ratio makes the shared-prefix speedup auditable from a trace
 /// (surfaced as the `ssam.stats` event and by `edge-market explain`).
 /// All counts are deterministic and independent of the pricing pool
-/// size.
+/// size. The MSOA round loops sum each stage's replay counts into the
+/// `edge_pricing_*` families, so those are exact under any concurrency.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SsamStats {
     /// Argmin traffic (selection plus replay suffixes).
@@ -212,6 +213,17 @@ pub struct SsamStats {
     pub replay_iterations: u64,
     /// Replay iterations answered from the shared prefix.
     pub prefix_iterations: u64,
+}
+
+impl SsamStats {
+    /// Adds another auction's counters — one round's primary auction
+    /// and backfill rungs sum into one round's total.
+    pub(crate) fn absorb(&mut self, other: SsamStats) {
+        self.argmin.absorb(other.argmin);
+        self.payment_replays += other.payment_replays;
+        self.replay_iterations += other.replay_iterations;
+        self.prefix_iterations += other.prefix_iterations;
+    }
 }
 
 /// Marginal contribution of a bid given the uncovered remainder
@@ -288,6 +300,16 @@ pub fn run_ssam_traced(
     config: &SsamConfig,
     trace: Trace<'_>,
 ) -> Result<SsamOutcome, AuctionError> {
+    run_ssam_counted(instance, config, trace).map(|(outcome, _)| outcome)
+}
+
+/// [`run_ssam_traced`] that also returns the auction's work counters —
+/// the same numbers its `ssam.stats` event carries.
+pub(crate) fn run_ssam_counted(
+    instance: &WspInstance,
+    config: &SsamConfig,
+    trace: Trace<'_>,
+) -> Result<(SsamOutcome, SsamStats), AuctionError> {
     let _ssam_span = edge_telemetry::spans::enter("ssam");
     let candidates = reserve_filtered(instance, config);
 
@@ -325,12 +347,11 @@ pub fn run_ssam_traced(
     // Winner selection: the SoA lane arena (`crate::arena`) answers each
     // greedy argmin in O(log lanes); the differential suite pins its
     // selections, payments, and traces to the scan oracle bit-for-bit.
-    // Wall-clock telemetry goes to the ambient selection counters, never
-    // into the trace.
+    // Wall-clock goes to the `selection` and `merge` spans, never into
+    // the trace.
     let demand = instance.demand();
     let mut stats = SsamStats::default();
     let selection_span = edge_telemetry::spans::enter("selection");
-    let selection_start = std::time::Instant::now();
     let table = crate::arena::SellerTable::new(&per_seller_best);
     let arena = {
         let _build_span = edge_telemetry::spans::enter("arena.build");
@@ -341,13 +362,10 @@ pub fn run_ssam_traced(
         edge_telemetry::spans::diag("lanes", lanes as u64);
         edge_telemetry::spans::lane_gauges(lanes as u64, candidates.len() as u64);
     }
-    let (selection, snapshots, merge_ns) = {
+    let (selection, snapshots) = {
         let _merge_span = edge_telemetry::spans::enter("merge");
-        let merge_start = std::time::Instant::now();
-        let (sel, snaps) = greedy_select(&arena, &table, &candidates, demand, &mut stats.argmin);
-        (sel, snaps, merge_start.elapsed().as_nanos() as u64)
+        greedy_select(&arena, &table, &candidates, demand, &mut stats.argmin)
     };
-    edge_telemetry::selection::record(selection_start.elapsed().as_nanos() as u64, merge_ns);
     // Selection-side work counters on the `selection` span. Scans and
     // snapshot counts are position-determined (knob-invariant); lane
     // head reads are engine diagnostics.
@@ -465,17 +483,11 @@ pub fn run_ssam_traced(
         });
     }
 
-    // Wall-clock goes to the ambient profile counters, never into the
-    // trace: traces must stay byte-identical across machines and thread
-    // counts. The same observation feeds the adaptive pool's per-replay
-    // cost EMA (`--pricing-threads 0`).
+    // Wall-clock goes to the `pricing` span, never into the trace:
+    // traces must stay byte-identical across machines and thread counts.
+    // This timer feeds only the adaptive pool's per-replay cost EMA
+    // (`--pricing-threads 0`).
     let pricing_ns = pricing_start.elapsed().as_nanos() as u64;
-    edge_telemetry::pricing::record(
-        stats.payment_replays,
-        stats.replay_iterations,
-        stats.prefix_iterations,
-        pricing_ns,
-    );
     crate::pricing::note_pricing_phase(stats.payment_replays, pricing_ns);
     // Pricing-side counters: replay totals and argmin scans (both
     // knob-invariant) on the deterministic side; lane head reads on the
@@ -529,13 +541,14 @@ pub fn run_ssam_traced(
         ]
     });
 
-    Ok(SsamOutcome {
+    let outcome = SsamOutcome {
         winners,
         demand,
         social_cost,
         total_payment,
         certificate,
-    })
+    };
+    Ok((outcome, stats))
 }
 
 /// Cursor snapshots are taken every this many selections; a payment

@@ -36,7 +36,6 @@ pub trait Sink: Sync {
 #[derive(Debug, Default)]
 struct Inner {
     events: Vec<Event>,
-    span_stack: Vec<&'static str>,
     profile: Vec<ProfileEntry>,
 }
 
@@ -59,23 +58,6 @@ impl Collector {
     /// Creates an empty collector.
     pub fn new() -> Self {
         Collector::default()
-    }
-
-    /// Opens a span: emits a `span.enter` event, pushes the name onto
-    /// the span path, and returns a guard that emits `span.exit` and
-    /// pops on drop.
-    pub fn span(&self, name: &'static str, fields: Vec<(&'static str, Value)>) -> SpanGuard<'_> {
-        self.emit(Level::Debug, "span.enter", {
-            let mut f = vec![("name", Value::from(name))];
-            f.extend(fields);
-            f
-        });
-        self.inner
-            .lock()
-            .expect("collector lock")
-            .span_stack
-            .push(name);
-        SpanGuard { collector: self }
     }
 
     /// Records a profile-section entry (timings, environment). Excluded
@@ -146,40 +128,16 @@ impl Sink for Collector {
     fn emit(&self, level: Level, name: &'static str, fields: Vec<(&'static str, Value)>) {
         let mut inner = self.inner.lock().expect("collector lock");
         let seq = inner.events.len() as u64;
-        let span = inner.span_stack.join(".");
         inner.events.push(Event {
             seq,
             level,
             name,
-            span,
             fields,
         });
     }
 
     fn emit_profile(&self, name: &'static str, fields: Vec<(&'static str, Value)>) {
         self.record_profile(name, fields);
-    }
-}
-
-/// RAII span handle returned by [`Collector::span`].
-#[derive(Debug)]
-pub struct SpanGuard<'a> {
-    collector: &'a Collector,
-}
-
-impl Drop for SpanGuard<'_> {
-    fn drop(&mut self) {
-        let name = self
-            .collector
-            .inner
-            .lock()
-            .expect("collector lock")
-            .span_stack
-            .pop();
-        if let Some(name) = name {
-            self.collector
-                .emit(Level::Debug, "span.exit", vec![("name", Value::from(name))]);
-        }
     }
 }
 
@@ -306,26 +264,6 @@ mod tests {
         assert_eq!(events[0].seq, 0);
         assert_eq!(events[1].seq, 1);
         assert_eq!(events[1].name, "b");
-    }
-
-    #[test]
-    fn spans_nest_in_the_path() {
-        let c = Collector::new();
-        {
-            let _outer = c.span("msoa", vec![]);
-            {
-                let _inner = c.span("round", vec![("t", Value::from(0u64))]);
-                c.emit(Level::Debug, "winner", vec![]);
-            }
-            c.emit(Level::Debug, "summary", vec![]);
-        }
-        let events = c.events();
-        let winner = events.iter().find(|e| e.name == "winner").unwrap();
-        assert_eq!(winner.span, "msoa.round");
-        let summary = events.iter().find(|e| e.name == "summary").unwrap();
-        assert_eq!(summary.span, "msoa");
-        let exits = events.iter().filter(|e| e.name == "span.exit").count();
-        assert_eq!(exits, 2);
     }
 
     #[test]

@@ -9,7 +9,7 @@ pub enum Level {
     Debug,
     /// Notable milestones (round boundaries, outcomes).
     Info,
-    /// Something a human should see even without a subscriber.
+    /// Something a human should see.
     Warn,
 }
 
@@ -24,7 +24,7 @@ impl Level {
     }
 }
 
-/// One recorded event: a name, a span path, and key–value fields.
+/// One recorded event: a name and key–value fields.
 ///
 /// Events carry **no wall-clock time and no process identity** — a trace
 /// of the same run is byte-identical across machines, reruns, and thread
@@ -39,8 +39,6 @@ pub struct Event {
     pub level: Level,
     /// Event name (dotted, e.g. `ssam.payment`).
     pub name: &'static str,
-    /// Dotted path of enclosing spans (empty outside any span).
-    pub span: String,
     /// Key–value payload in emission order.
     pub fields: Vec<(&'static str, Value)>,
 }
@@ -59,10 +57,6 @@ impl Event {
         out.push_str(self.level.as_str());
         out.push_str("\",\"event\":");
         write_json_string(self.name, out);
-        if !self.span.is_empty() {
-            out.push_str(",\"span\":");
-            write_json_string(&self.span, out);
-        }
         out.push_str(",\"fields\":{");
         for (i, (k, v)) in self.fields.iter().enumerate() {
             if i > 0 {
@@ -86,14 +80,13 @@ mod tests {
             seq: 3,
             level: Level::Info,
             name: "round.start",
-            span: "msoa".to_owned(),
             fields: vec![("round", Value::from(2u64)), ("demand", Value::from(7u64))],
         };
         let mut s = String::new();
         e.write_jsonl(&mut s);
         assert_eq!(
             s,
-            "{\"seq\":3,\"level\":\"info\",\"event\":\"round.start\",\"span\":\"msoa\",\
+            "{\"seq\":3,\"level\":\"info\",\"event\":\"round.start\",\
              \"fields\":{\"round\":2,\"demand\":7}}"
         );
     }
@@ -104,7 +97,6 @@ mod tests {
             seq: 0,
             level: Level::Debug,
             name: "x",
-            span: String::new(),
             fields: vec![("k", Value::from(1u64))],
         };
         assert_eq!(e.field("k").and_then(Value::as_f64), Some(1.0));

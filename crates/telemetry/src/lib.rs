@@ -13,10 +13,10 @@
 //!    counts. Timings live in a separate profile section
 //!    ([`Collector::record_profile`]), clearly tagged
 //!    `"section":"profile"` and excluded from the determinism contract.
-//! 2. **Diagnostics** — a process-wide optional [`Subscriber`]
-//!    reached through the [`event!`] macro. With no subscriber
-//!    installed, sub-`Warn` events cost one atomic load; `Warn` events
-//!    fall back to a `warning: ...` line on stderr.
+//! 2. **Spans** — the ambient [`spans`] profiler, the one timing
+//!    source. Its tree feeds `edge-market profile`, the scale
+//!    benchmark's timing columns ([`spans::collect`] around each
+//!    measured run) and, in live mode, the `edge_profile_*` families.
 //!
 //! Counters and log-bucketed histograms ([`Counter`], [`LogHistogram`])
 //! cover hot-path statistics too frequent to record as events, and the
@@ -32,98 +32,13 @@
 
 mod collector;
 mod event;
-pub mod global;
 mod metrics;
 pub mod registry;
 pub mod spans;
 mod value;
 
-pub use collector::{Collector, ProfileEntry, Scoped, Sink, SpanGuard, Trace};
+pub use collector::{Collector, ProfileEntry, Scoped, Sink, Trace};
 pub use event::{Event, Level};
-pub use global::{clear_subscriber, set_subscriber, CollectorSubscriber, Subscriber};
-pub use metrics::{pricing, selection, Counter, LogHistogram, HISTOGRAM_BUCKETS};
+pub use metrics::{Counter, LogHistogram, HISTOGRAM_BUCKETS};
 pub use registry::{Gauge, Registry, Summary};
 pub use value::Value;
-
-/// Emits a diagnostic event to the global subscriber.
-///
-/// Fields are only constructed when a consumer exists for the level
-/// — `event!(debug: ...)` with no subscriber is one atomic load.
-///
-/// ```
-/// edge_telemetry::event!(warn: "alpha.clamped", alpha = 2.5, theta = 10u64);
-/// edge_telemetry::event!(info: "estimate.partial", message = "using 3 of 5 samples");
-/// ```
-#[macro_export]
-macro_rules! event {
-    (debug: $name:expr $(, $key:ident = $val:expr)* $(,)?) => {
-        $crate::event!(@dispatch $crate::Level::Debug, $name $(, $key = $val)*)
-    };
-    (info: $name:expr $(, $key:ident = $val:expr)* $(,)?) => {
-        $crate::event!(@dispatch $crate::Level::Info, $name $(, $key = $val)*)
-    };
-    (warn: $name:expr $(, $key:ident = $val:expr)* $(,)?) => {
-        $crate::event!(@dispatch $crate::Level::Warn, $name $(, $key = $val)*)
-    };
-    (@dispatch $level:expr, $name:expr $(, $key:ident = $val:expr)*) => {
-        if $crate::global::enabled($level) {
-            $crate::global::dispatch(
-                $level,
-                $name,
-                &[$((stringify!($key), $crate::Value::from($val))),*],
-            );
-        }
-    };
-}
-
-/// Opens a span on a [`Collector`], returning the RAII guard.
-///
-/// ```
-/// let collector = edge_telemetry::Collector::new();
-/// {
-///     let _span = edge_telemetry::span!(collector, "round", t = 3u64);
-///     // events emitted here carry span "round"
-/// }
-/// ```
-#[macro_export]
-macro_rules! span {
-    ($collector:expr, $name:expr $(, $key:ident = $val:expr)* $(,)?) => {
-        $collector.span(
-            $name,
-            vec![$((stringify!($key), $crate::Value::from($val))),*],
-        )
-    };
-}
-
-#[cfg(test)]
-mod macro_tests {
-    use crate::collector::Sink;
-
-    #[test]
-    fn span_macro_builds_fields() {
-        let c = crate::Collector::new();
-        {
-            let _g = span!(c, "outer", t = 1u64);
-            c.emit(crate::Level::Info, "inside", vec![]);
-        }
-        let events = c.events();
-        assert_eq!(events[0].name, "span.enter");
-        assert_eq!(
-            events[0].field("t").and_then(crate::Value::as_f64),
-            Some(1.0)
-        );
-        assert_eq!(events[1].span, "outer");
-    }
-
-    #[test]
-    fn event_macro_skips_fields_when_disabled() {
-        crate::clear_subscriber();
-        // Debug is disabled by default; the field expression must not run.
-        let mut ran = false;
-        event!(debug: "x", flag = {
-            ran = true;
-            true
-        });
-        assert!(!ran);
-    }
-}

@@ -2,9 +2,8 @@
 //!
 //! These are deliberately simpler than the event pipeline: a counter is
 //! one relaxed atomic add, a histogram record is a `leading_zeros` plus
-//! one atomic add. Hot paths (heap pops, lazy-deletion invalidations)
-//! bump them unconditionally and the aggregate is emitted as a single
-//! event at the end of a run.
+//! one atomic add. The [`registry`](crate::registry) builds its series
+//! from them, so instrumented code can bump a live metric on a hot path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -103,135 +102,9 @@ impl LogHistogram {
     }
 }
 
-/// Ambient pricing-phase metrics, fed by the auction's payment loop.
-///
-/// Wall-clock time spent computing critical-value payments must stay
-/// out of the deterministic trace section (1-thread and N-thread runs
-/// are required to produce byte-identical traces), so the pricing phase
-/// reports its timing and replay counts through these process-global
-/// atomics instead. Consumers (the scale benchmark) take a [`snapshot`]
-/// before and after a run and work with the delta, which keeps the
-/// metrics valid even when several runs share the process.
-pub mod pricing {
-    use super::Counter;
-
-    static REPLAYS: Counter = Counter::new();
-    static REPLAY_ITERATIONS: Counter = Counter::new();
-    static PREFIX_ITERATIONS: Counter = Counter::new();
-    static NANOS: Counter = Counter::new();
-
-    /// A point-in-time reading of the pricing metrics.
-    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-    pub struct PricingSnapshot {
-        /// Payment replays performed (one per auction winner).
-        pub replays: u64,
-        /// Total replay iterations across all replays (prefix + suffix).
-        pub replay_iterations: u64,
-        /// Replay iterations served from the shared prefix of the real
-        /// run (O(1) each) instead of heap work.
-        pub prefix_iterations: u64,
-        /// Wall-clock nanoseconds spent in the payment phase.
-        pub nanos: u64,
-    }
-
-    impl PricingSnapshot {
-        /// The change since an `earlier` snapshot.
-        #[must_use]
-        pub fn delta_since(&self, earlier: &PricingSnapshot) -> PricingSnapshot {
-            PricingSnapshot {
-                replays: self.replays.wrapping_sub(earlier.replays),
-                replay_iterations: self
-                    .replay_iterations
-                    .wrapping_sub(earlier.replay_iterations),
-                prefix_iterations: self
-                    .prefix_iterations
-                    .wrapping_sub(earlier.prefix_iterations),
-                nanos: self.nanos.wrapping_sub(earlier.nanos),
-            }
-        }
-    }
-
-    /// Accumulates one payment phase's totals.
-    pub fn record(replays: u64, replay_iterations: u64, prefix_iterations: u64, nanos: u64) {
-        REPLAYS.add(replays);
-        REPLAY_ITERATIONS.add(replay_iterations);
-        PREFIX_ITERATIONS.add(prefix_iterations);
-        NANOS.add(nanos);
-    }
-
-    /// The current cumulative totals.
-    pub fn snapshot() -> PricingSnapshot {
-        PricingSnapshot {
-            replays: REPLAYS.get(),
-            replay_iterations: REPLAY_ITERATIONS.get(),
-            prefix_iterations: PREFIX_ITERATIONS.get(),
-            nanos: NANOS.get(),
-        }
-    }
-}
-
-/// Ambient selection-phase metrics, fed by the auction's winner
-/// selection. Mirrors [`pricing`]: wall-clock must stay out of the
-/// deterministic trace (runs are required to be byte-identical across
-/// thread counts), so the selection phase reports its timing
-/// through process-global atomics and consumers work with snapshot
-/// deltas.
-pub mod selection {
-    use super::Counter;
-
-    static SELECTION_NS: Counter = Counter::new();
-    static MERGE_NS: Counter = Counter::new();
-
-    /// A point-in-time reading of the selection metrics.
-    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-    pub struct SelectionSnapshot {
-        /// Wall-clock nanoseconds spent in the whole selection phase
-        /// (arena build + greedy merge).
-        pub selection_ns: u64,
-        /// Of those, nanoseconds spent in the greedy merge loop (the
-        /// argmin queries over the lane arena).
-        pub merge_ns: u64,
-    }
-
-    impl SelectionSnapshot {
-        /// The change since an `earlier` snapshot.
-        #[must_use]
-        pub fn delta_since(&self, earlier: &SelectionSnapshot) -> SelectionSnapshot {
-            SelectionSnapshot {
-                selection_ns: self.selection_ns.wrapping_sub(earlier.selection_ns),
-                merge_ns: self.merge_ns.wrapping_sub(earlier.merge_ns),
-            }
-        }
-    }
-
-    /// Accumulates one selection phase's totals.
-    pub fn record(selection_ns: u64, merge_ns: u64) {
-        SELECTION_NS.add(selection_ns);
-        MERGE_NS.add(merge_ns);
-    }
-
-    /// The current cumulative totals.
-    pub fn snapshot() -> SelectionSnapshot {
-        SelectionSnapshot {
-            selection_ns: SELECTION_NS.get(),
-            merge_ns: MERGE_NS.get(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn selection_deltas_isolate_one_run() {
-        let before = selection::snapshot();
-        selection::record(1_000, 300);
-        selection::record(500, 100);
-        let delta = selection::snapshot().delta_since(&before);
-        assert_eq!(delta.selection_ns, 1_500);
-        assert_eq!(delta.merge_ns, 400);
-    }
 
     #[test]
     fn counter_counts() {
@@ -262,17 +135,5 @@ mod tests {
         }
         assert_eq!(h.count(), 6);
         assert_eq!(h.snapshot(), vec![(0, 1), (1, 2), (4, 3)]);
-    }
-
-    #[test]
-    fn pricing_deltas_isolate_one_run() {
-        let before = pricing::snapshot();
-        pricing::record(3, 40, 25, 1_000);
-        pricing::record(2, 10, 5, 500);
-        let delta = pricing::snapshot().delta_since(&before);
-        assert_eq!(delta.replays, 5);
-        assert_eq!(delta.replay_iterations, 50);
-        assert_eq!(delta.prefix_iterations, 30);
-        assert_eq!(delta.nanos, 1_500);
     }
 }

@@ -1,7 +1,8 @@
-//! Ambient deterministic span profiler.
+//! Ambient deterministic span profiler — the workspace's one timing
+//! source.
 //!
-//! A process-global hierarchical timing layer with a hard split between
-//! what is **deterministic** and what is **measured**:
+//! A hierarchical timing layer with a hard split between what is
+//! **deterministic** and what is **measured**:
 //!
 //! * Span *structure* — names, nesting, call counts, and per-span
 //!   counters recorded with [`ctr`] — depends only on the workload, so
@@ -15,14 +16,16 @@
 //!   `"section":"profile"` tail (one `span.profile` entry per node).
 //!
 //! The layer mirrors the ambient-install pattern of
-//! `edge_bench::profile`: entry points call [`install`] once,
-//! instrumented code calls [`enter`] / [`ctr`] / [`diag`] without
-//! threading a handle through every signature, and a disabled profiler
-//! costs one relaxed atomic load per call site. Spans are a
-//! *calling-thread* convention: worker threads inside the pricing pool
-//! never open spans or bump counters — their results are absorbed on
-//! the coordinating thread in deterministic order, which is what keeps
-//! the tree identical at any thread count.
+//! `edge_bench::profile`: entry points call [`install`] once (or wrap
+//! one measured run in [`collect`]), instrumented code calls [`enter`] /
+//! [`ctr`] / [`diag`] without threading a handle through every
+//! signature, and a disabled profiler costs one relaxed atomic load and
+//! one thread-local read per call site. Each thread owns its own tree,
+//! so spans are a *calling-thread* convention: worker threads inside the
+//! pricing pool never open spans or bump counters — their results are
+//! absorbed on the coordinating thread in deterministic order, which is
+//! what keeps the tree identical at any thread count — and two threads
+//! collecting at once never see each other's spans.
 //!
 //! Independently of tree collection, [`set_live`] feeds per-stage
 //! duration summaries and engine gauges into the process
@@ -33,19 +36,23 @@ use crate::collector::Collector;
 use crate::event::Level;
 use crate::registry::{global, Gauge, Summary};
 use crate::value::Value;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Mode bit: aggregate spans into the ambient [`SpanTree`].
-const MODE_TREE: u8 = 0b01;
-/// Mode bit: feed `edge_profile_*` registry families on span exit.
-const MODE_LIVE: u8 = 0b10;
-
-static MODE: AtomicU8 = AtomicU8::new(0);
-static TREE: Mutex<Option<SpanTree>> = Mutex::new(None);
+/// Mode bit: feed `edge_profile_*` registry families on span exit (on
+/// every thread).
+static LIVE_ON: AtomicBool = AtomicBool::new(false);
 static LIVE: OnceLock<Live> = OnceLock::new();
+
+thread_local! {
+    /// This thread's span tree, when one is installed.
+    static TREE: RefCell<Option<SpanTree>> = const { RefCell::new(None) };
+    /// Mode bit: aggregate this thread's spans into [`TREE`].
+    static TREE_ON: Cell<bool> = const { Cell::new(false) };
+}
 
 struct Live {
     open_spans: Arc<Gauge>,
@@ -115,30 +122,50 @@ pub fn preregister() {
     }
 }
 
-/// Starts collecting spans into a fresh ambient [`SpanTree`],
-/// replacing any previous one. Only the installing thread's spans are
-/// recorded: the tree *enforces* the calling-thread convention, so a
-/// worker pool running instrumented code cannot perturb the structure.
+/// Starts collecting this thread's spans into a fresh ambient
+/// [`SpanTree`], replacing any previous one. Only the installing
+/// thread's spans are recorded: the tree is thread-local, which
+/// *enforces* the calling-thread convention, so a worker pool running
+/// instrumented code cannot perturb the structure.
 pub fn install() {
-    *TREE.lock().expect("spans tree lock") = Some(SpanTree::new());
-    MODE.fetch_or(MODE_TREE, Ordering::SeqCst);
+    TREE.with(|tree| *tree.borrow_mut() = Some(SpanTree::new()));
+    TREE_ON.with(|on| on.set(true));
 }
 
-/// Runs `f` on the tree iff one is installed and the caller is the
-/// thread that installed it.
+/// Runs `f` on this thread's tree, if one is installed.
 fn with_tree(f: impl FnOnce(&mut SpanTree)) {
-    if let Some(tree) = TREE.lock().expect("spans tree lock").as_mut() {
-        if tree.owner == std::thread::current().id() {
+    TREE.with(|tree| {
+        if let Some(tree) = tree.borrow_mut().as_mut() {
             f(tree);
         }
-    }
+    });
 }
 
-/// Stops tree collection and returns the aggregated tree, if one was
-/// installed.
+/// `true` when this thread's spans aggregate into its tree.
+fn tree_on() -> bool {
+    TREE_ON.with(Cell::get)
+}
+
+/// Stops tree collection on this thread and returns the aggregated
+/// tree, if one was installed.
 pub fn uninstall() -> Option<SpanTree> {
-    MODE.fetch_and(!MODE_TREE, Ordering::SeqCst);
-    TREE.lock().expect("spans tree lock").take()
+    TREE_ON.with(|on| on.set(false));
+    TREE.with(|tree| tree.borrow_mut().take())
+}
+
+/// Runs `f` with a fresh tree collecting this thread's spans and
+/// returns `f`'s result with that tree. Collections nest: the enclosing
+/// tree (if any) — its nodes, its open-span stack and whether it was
+/// collecting, suppressed or not — is put back untouched afterwards.
+/// This is how a harness times one measured run inside a traced sweep.
+pub fn collect<R>(f: impl FnOnce() -> R) -> (R, SpanTree) {
+    let outer = TREE.with(|tree| tree.replace(Some(SpanTree::new())));
+    let outer_on = TREE_ON.with(|on| on.replace(true));
+    let result = f();
+    let collected = TREE.with(|tree| tree.replace(outer));
+    TREE_ON.with(|on| on.set(outer_on));
+    // `f` may itself have uninstalled the tree; report an empty one.
+    (result, collected.unwrap_or_else(SpanTree::new))
 }
 
 /// Enables or disables live `edge_profile_*` registry feeding
@@ -146,32 +173,30 @@ pub fn uninstall() -> Option<SpanTree> {
 pub fn set_live(on: bool) {
     if on {
         live();
-        MODE.fetch_or(MODE_LIVE, Ordering::SeqCst);
-    } else {
-        MODE.fetch_and(!MODE_LIVE, Ordering::SeqCst);
     }
+    LIVE_ON.store(on, Ordering::SeqCst);
 }
 
-/// `true` when either tree collection or live feeding is on (the
-/// instrumentation fast path).
+/// `true` when either tree collection (on this thread) or live feeding
+/// is on (the instrumentation fast path).
 pub fn is_enabled() -> bool {
-    MODE.load(Ordering::Relaxed) != 0
+    LIVE_ON.load(Ordering::Relaxed) || tree_on()
 }
 
 /// Opens a span named `name` under the currently open span (or at the
 /// top level). Returns a guard that records the span's wall-clock
-/// duration on drop. A no-op costing one atomic load when the profiler
-/// is fully disabled.
+/// duration on drop. A no-op costing one atomic load and one
+/// thread-local read when the profiler is fully disabled.
 pub fn enter(name: &'static str) -> Span {
-    let mode = MODE.load(Ordering::Relaxed);
-    if mode == 0 {
+    let live_on = LIVE_ON.load(Ordering::Relaxed);
+    let tree_on = tree_on();
+    if !live_on && !tree_on {
         return Span { active: None };
     }
     let mut node = None;
-    if mode & MODE_TREE != 0 {
+    if tree_on {
         with_tree(|tree| node = Some(tree.enter(name)));
     }
-    let live_on = mode & MODE_LIVE != 0;
     if live_on {
         live().open_spans.add(1.0);
     }
@@ -190,7 +215,7 @@ pub fn enter(name: &'static str) -> Span {
 /// proven-deterministic iteration counts); anything machine- or
 /// knob-dependent belongs in [`diag`].
 pub fn ctr(key: &'static str, delta: u64) {
-    if MODE.load(Ordering::Relaxed) & MODE_TREE == 0 {
+    if !tree_on() {
         return;
     }
     with_tree(|tree| tree.add(key, delta, Side::Counter));
@@ -199,7 +224,7 @@ pub fn ctr(key: &'static str, delta: u64) {
 /// Adds `delta` to the profile-side diagnostic `key` on the currently
 /// open span (exported only in the `"section":"profile"` tail).
 pub fn diag(key: &'static str, delta: u64) {
-    if MODE.load(Ordering::Relaxed) & MODE_TREE == 0 {
+    if !tree_on() {
         return;
     }
     with_tree(|tree| tree.add(key, delta, Side::Diag));
@@ -209,7 +234,7 @@ pub fn diag(key: &'static str, delta: u64) {
 /// open span — for last-decision facts like the adaptive pool size,
 /// where accumulation would be meaningless.
 pub fn diag_set(key: &'static str, value: u64) {
-    if MODE.load(Ordering::Relaxed) & MODE_TREE == 0 {
+    if !tree_on() {
         return;
     }
     with_tree(|tree| tree.add(key, value, Side::DiagSet));
@@ -223,14 +248,13 @@ pub fn diag_set(key: &'static str, value: u64) {
 /// harnesses that time cells on worker threads report through the
 /// calling-thread span layer.
 pub fn absorb(name: &'static str, samples_ns: &[u64]) {
-    let mode = MODE.load(Ordering::Relaxed);
-    if mode == 0 || samples_ns.is_empty() {
+    if samples_ns.is_empty() {
         return;
     }
-    if mode & MODE_TREE != 0 {
+    if tree_on() {
         with_tree(|tree| tree.absorb(name, samples_ns.len() as u64, samples_ns.iter().sum()));
     }
-    if mode & MODE_LIVE != 0 {
+    if LIVE_ON.load(Ordering::Relaxed) {
         let summary = stage_summary(name);
         for &ns in samples_ns {
             summary.observe(ns);
@@ -238,16 +262,15 @@ pub fn absorb(name: &'static str, samples_ns: &[u64]) {
     }
 }
 
-/// Temporarily halts tree collection (on every thread) until the guard
+/// Temporarily halts tree collection on this thread until the guard
 /// drops; live feeding is unaffected. A fork–join harness wraps its
 /// worker pool in this so a sweep's cells record the same (absent)
 /// structure whether they run inline on the caller or on workers —
 /// their measured time re-enters the tree via [`absorb`].
 #[must_use]
 pub fn suppress_tree() -> TreeSuppression {
-    let prev = MODE.fetch_and(!MODE_TREE, Ordering::SeqCst);
     TreeSuppression {
-        was_on: prev & MODE_TREE != 0,
+        was_on: TREE_ON.with(|on| on.replace(false)),
     }
 }
 
@@ -260,7 +283,7 @@ pub struct TreeSuppression {
 impl Drop for TreeSuppression {
     fn drop(&mut self) {
         if self.was_on {
-            MODE.fetch_or(MODE_TREE, Ordering::SeqCst);
+            TREE_ON.with(|on| on.set(true));
         }
     }
 }
@@ -268,7 +291,7 @@ impl Drop for TreeSuppression {
 /// Publishes arena lane gauges (`edge_profile_lanes`,
 /// `edge_profile_lane_occupancy`) when live feeding is on.
 pub fn lane_gauges(lanes: u64, entries: u64) {
-    if MODE.load(Ordering::Relaxed) & MODE_LIVE == 0 {
+    if !LIVE_ON.load(Ordering::Relaxed) {
         return;
     }
     let handles = live();
@@ -301,9 +324,7 @@ impl Drop for Span {
         };
         let nanos = active.start.elapsed().as_nanos() as u64;
         if let Some(idx) = active.node {
-            if let Some(tree) = TREE.lock().expect("spans tree lock").as_mut() {
-                tree.exit(idx, nanos);
-            }
+            with_tree(|tree| tree.exit(idx, nanos));
         }
         if active.live {
             stage_summary(active.name).observe(nanos);
@@ -337,7 +358,7 @@ pub struct Node {
     pub total_ns: u64,
 }
 
-/// The aggregated span forest produced by [`uninstall`].
+/// The aggregated span forest produced by [`uninstall`] or [`collect`].
 ///
 /// Node 0 is a synthetic root that is never exported; top-level spans
 /// are its children.
@@ -345,8 +366,6 @@ pub struct Node {
 pub struct SpanTree {
     nodes: Vec<Node>,
     stack: Vec<usize>,
-    /// The installing thread — the only one whose spans are recorded.
-    owner: std::thread::ThreadId,
 }
 
 /// What weights a folded-stack export ([`SpanTree::folded`]).
@@ -372,7 +391,6 @@ impl SpanTree {
                 total_ns: 0,
             }],
             stack: vec![0],
-            owner: std::thread::current().id(),
         }
     }
 
@@ -707,7 +725,7 @@ mod tests {
     use super::*;
     use std::sync::Mutex as StdMutex;
 
-    // The profiler is process-global ambient state; serialize tests.
+    // Live feeding is process-global ambient state; serialize tests.
     static GUARD: StdMutex<()> = StdMutex::new(());
 
     fn reset() {
@@ -884,6 +902,51 @@ mod tests {
         let views = tree.views();
         assert_eq!(views.len(), 1);
         assert_eq!(views[0].path, "seen");
+    }
+
+    #[test]
+    fn collect_leaves_the_enclosing_tree_as_it_was() {
+        let _g = GUARD.lock().unwrap();
+        reset();
+        install();
+        {
+            let _outer = enter("outer");
+            ctr("before", 1);
+            let (answer, cell) = collect(|| {
+                let _cell = enter("cell");
+                ctr("work", 3);
+                42
+            });
+            assert_eq!(answer, 42);
+            let views = cell.views();
+            assert_eq!(views.len(), 1, "a fresh tree sees only its own spans");
+            assert_eq!(views[0].path, "cell");
+            assert_eq!(views[0].counters, vec![("work", 3)]);
+            // The outer stack is back: this lands on `outer`.
+            ctr("after", 1);
+            {
+                let quiet = suppress_tree();
+                let ((), hidden) = collect(|| {
+                    let _cell = enter("cell");
+                });
+                assert_eq!(hidden.views().len(), 1, "collect records while suppressed");
+                // The suppressed mode bit is back too.
+                let skipped = enter("skipped");
+                ctr("skipped", 1);
+                drop(skipped);
+                drop(quiet);
+            }
+            let _inner = enter("inner");
+        }
+        let tree = uninstall().expect("the outer tree survived both collections");
+        let views = tree.views();
+        assert_eq!(
+            views.iter().map(|v| v.path.as_str()).collect::<Vec<_>>(),
+            vec!["outer", "outer.inner"]
+        );
+        assert_eq!(views[0].calls, 1);
+        assert_eq!(views[0].counters, vec![("before", 1), ("after", 1)]);
+        assert!(!is_enabled(), "uninstall cleared the restored mode bit");
     }
 
     #[test]

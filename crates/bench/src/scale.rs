@@ -33,15 +33,9 @@ use std::time::Instant;
 ///
 /// v2 adds the `selection_ns` and `merge_ns` cell columns and extends
 /// the default sweep to n = 1M with an adaptive-threads configuration.
-/// `bench diff` still accepts v1 baselines: the missing timings default
-/// to 0 and cells are matched on `(n, threads)`, so v1 digests stay
-/// hard-checked. v2 reports written while selection still had a shard
-/// setting carry a `shards` key per cell, which parsing ignores.
+/// v2 reports written while selection still had a shard setting carry a
+/// `shards` key per cell, which parsing ignores.
 pub const SCALE_SCHEMA: &str = "edge-market/bench-scale/v2";
-
-/// Schema identifier of the previous report generation, still accepted
-/// as a `bench diff` baseline.
-pub const SCALE_SCHEMA_V1: &str = "edge-market/bench-scale/v1";
 
 /// Seller populations swept by default (clamped by `max_n`).
 pub const SCALE_SIZES: [usize; 6] = [1_000, 10_000, 50_000, 100_000, 500_000, 1_000_000];
@@ -90,7 +84,7 @@ pub struct ScaleCell {
     pub median_pricing_ns: u64,
     /// Minimum pricing-phase wall-clock across the reps — the
     /// interference-robust point estimate for eyeballing a cell in
-    /// isolation. `0` in upgraded v1 reports (not recorded then).
+    /// isolation.
     pub min_pricing_ns: u64,
     /// Critical-value payments computed per second of pricing-phase
     /// wall-clock (median rep).
@@ -103,8 +97,7 @@ pub struct ScaleCell {
     /// Of those, iterations answered in O(1) from the shared prefix.
     pub prefix_iterations: u64,
     /// Median wall-clock in the winner-selection phase (arena build +
-    /// greedy merge), summed over rounds, nanoseconds. `0` in upgraded
-    /// v1 reports (not recorded then).
+    /// greedy merge), summed over rounds, nanoseconds.
     pub selection_ns: u64,
     /// Of [`Self::selection_ns`], nanoseconds in the greedy merge loop
     /// (the argmin queries over the lane arena).
@@ -154,65 +147,19 @@ pub struct ScaleReport {
     pub speedups: Vec<ScaleSpeedup>,
 }
 
-/// Parses a serialized scale report, transparently upgrading v1
-/// payloads to the v2 shape: the columns v1 never recorded are injected
-/// (`selection_ns = merge_ns = 0`) and the schema string
-/// is rewritten, so v1 digests and wall-clock medians stay comparable.
-/// Returns the report plus whether an upgrade happened; any other
-/// schema is rejected.
-pub fn parse_report(json: &str) -> Result<(ScaleReport, bool), String> {
-    let mut value: serde::Value = serde_json::from_str(json).map_err(|e| e.to_string())?;
-    let schema = match &value {
-        serde::Value::Object(fields) => fields
-            .iter()
-            .find_map(|(k, v)| match (k.as_str(), v) {
-                ("schema", serde::Value::Str(s)) => Some(s.clone()),
-                _ => None,
-            })
-            .ok_or_else(|| "report has no `schema` string".to_string())?,
-        _ => return Err("report is not a JSON object".to_string()),
-    };
-    let upgraded = match schema.as_str() {
-        SCALE_SCHEMA => false,
-        SCALE_SCHEMA_V1 => {
-            upgrade_v1_in_place(&mut value);
-            true
-        }
-        other => {
-            return Err(format!(
-                "schema {other:?} is neither {SCALE_SCHEMA:?} nor the \
-                 accepted baseline schema {SCALE_SCHEMA_V1:?}"
-            ))
-        }
-    };
-    let report = serde::Deserialize::deserialize(&value).map_err(|e| e.0)?;
-    Ok((report, upgraded))
-}
-
-/// Rewrites a v1 report object into the v2 shape (see [`parse_report`]).
-fn upgrade_v1_in_place(value: &mut serde::Value) {
-    fn ensure(fields: &mut Vec<(String, serde::Value)>, name: &str, default: u64) {
-        if !fields.iter().any(|(k, _)| k == name) {
-            fields.push((name.to_string(), serde::Value::U64(default)));
-        }
+/// Parses a serialized scale report; any schema but [`SCALE_SCHEMA`] is
+/// rejected.
+pub fn parse_report(json: &str) -> Result<ScaleReport, String> {
+    let value: serde::Value = serde_json::from_str(json).map_err(|e| e.to_string())?;
+    if value.as_object().is_none() {
+        return Err("report is not a JSON object".to_string());
     }
-    let serde::Value::Object(top) = value else {
-        return;
-    };
-    for (key, v) in top.iter_mut() {
-        match (key.as_str(), v) {
-            ("schema", slot) => *slot = serde::Value::Str(SCALE_SCHEMA.to_string()),
-            ("cells", serde::Value::Array(cells)) => {
-                for cell in cells {
-                    if let serde::Value::Object(fields) = cell {
-                        ensure(fields, "min_pricing_ns", 0);
-                        ensure(fields, "selection_ns", 0);
-                        ensure(fields, "merge_ns", 0);
-                    }
-                }
-            }
-            _ => {}
+    match value.get("schema") {
+        Some(serde::Value::Str(s)) if s == SCALE_SCHEMA => {
+            serde::Deserialize::deserialize(&value).map_err(|e| e.0)
         }
+        Some(serde::Value::Str(other)) => Err(format!("schema {other:?} is not {SCALE_SCHEMA:?}")),
+        _ => Err("report has no `schema` string".to_string()),
     }
 }
 
@@ -601,33 +548,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_reports_upgrade_with_defaulted_columns() {
-        // A v1 report has no selection_ns/merge_ns columns.
-        let v1 = r#"{
-            "schema": "edge-market/bench-scale/v1",
-            "threads_available": 1,
-            "cells": [{
-                "n": 1000, "rounds": 3, "threads": 4, "reps": 3,
-                "median_total_ns": 1, "median_ns_per_round": 1,
-                "median_pricing_ns": 1, "payments_per_sec": 1.0,
-                "payment_replays": 1, "replay_iterations": 1,
-                "prefix_iterations": 1, "outcome_digest": "aa"
-            }],
-            "speedups": [{
-                "n": 1000, "rounds": 3, "threads": 4,
-                "pricing_speedup_vs_1": 1.0, "identical_outcomes": true
-            }]
-        }"#;
-        let (report, upgraded) = parse_report(v1).unwrap();
-        assert!(upgraded);
-        assert_eq!(report.schema, SCALE_SCHEMA);
-        assert_eq!(report.cells[0].min_pricing_ns, 0);
-        assert_eq!(report.cells[0].selection_ns, 0);
-        assert_eq!(report.cells[0].merge_ns, 0);
-        assert_eq!(report.cells[0].outcome_digest, "aa");
-    }
-
-    #[test]
     fn v2_reports_with_a_shards_key_still_parse() {
         // v2 baselines recorded before selection lost its shard setting.
         let v2 = r#"{
@@ -646,8 +566,7 @@ mod tests {
                 "pricing_speedup_vs_1": 1.0, "identical_outcomes": true
             }]
         }"#;
-        let (report, upgraded) = parse_report(v2).unwrap();
-        assert!(!upgraded);
+        let report = parse_report(v2).unwrap();
         assert_eq!(report.cells[0].outcome_digest, "bb");
         assert_eq!(report.speedups[0].threads, 4);
     }
@@ -655,8 +574,7 @@ mod tests {
     #[test]
     fn v2_reports_parse_without_upgrade_and_others_are_rejected() {
         let report = run_scale(1_000, Some(1));
-        let (parsed, upgraded) = parse_report(&report.to_json()).unwrap();
-        assert!(!upgraded);
+        let parsed = parse_report(&report.to_json()).unwrap();
         assert_eq!(
             parsed.cells[0].outcome_digest,
             report.cells[0].outcome_digest
@@ -667,6 +585,22 @@ mod tests {
             .replace(SCALE_SCHEMA, "edge-market/bench-scale/v99");
         let err = parse_report(&bogus).unwrap_err();
         assert!(err.contains("v99"), "{err}");
+        // A v1 report (no min_pricing_ns, selection_ns or merge_ns
+        // columns) is rejected too.
+        let v1 = r#"{
+            "schema": "edge-market/bench-scale/v1",
+            "threads_available": 1,
+            "cells": [{
+                "n": 1000, "rounds": 3, "threads": 4, "reps": 3,
+                "median_total_ns": 1, "median_ns_per_round": 1,
+                "median_pricing_ns": 1, "payments_per_sec": 1.0,
+                "payment_replays": 1, "replay_iterations": 1,
+                "prefix_iterations": 1, "outcome_digest": "aa"
+            }],
+            "speedups": []
+        }"#;
+        let err = parse_report(v1).unwrap_err();
+        assert!(err.contains("bench-scale/v1"), "{err}");
     }
 
     #[test]

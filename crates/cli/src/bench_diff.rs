@@ -2,8 +2,7 @@
 //!
 //! Compares a fresh scale-benchmark run (or a `--fresh` report file)
 //! against the committed `BENCH_scale.json` baseline, cell by cell over
-//! the intersecting `(n, threads)` pairs. v1 baselines (no stage
-//! columns) are upgraded on load and their digests stay hard-checked:
+//! the intersecting `(n, threads)` pairs:
 //!
 //! * **outcome digests must match exactly** — a digest mismatch means
 //!   the auction now computes different winners or payments, which is
@@ -146,8 +145,7 @@ struct StageDelta {
 /// unattributed remainder, each as a fresh/base ratio. The `worst`
 /// column names the stage that *added the most wall-clock* — ratios
 /// flag relative movement, but the added nanoseconds are what the total
-/// regression is actually made of. Cells from upgraded v1 baselines
-/// (no stage columns) render `n/a` rather than fake ratios.
+/// regression is actually made of.
 pub fn stage_breakdown(base: &ScaleReport, fresh: &ScaleReport) -> String {
     let mut table = Table::new([
         "n",
@@ -164,18 +162,6 @@ pub fn stage_breakdown(base: &ScaleReport, fresh: &ScaleReport) -> String {
             continue;
         };
         rows += 1;
-        if base_cell.selection_ns == 0 && base_cell.median_pricing_ns == 0 {
-            table.push([
-                base_cell.n.to_string(),
-                base_cell.threads.to_string(),
-                "n/a".to_string(),
-                "n/a".to_string(),
-                "n/a".to_string(),
-                "n/a".to_string(),
-                "n/a (v1 baseline)".to_string(),
-            ]);
-            continue;
-        }
         let stages = [
             StageDelta {
                 stage: "selection",
@@ -249,10 +235,8 @@ fn ratio_of(fresh_ns: u64, base_ns: u64) -> f64 {
     }
 }
 
-/// Loads and parses a report file, upgrading v1 payloads; the bool
-/// reports whether an upgrade happened (surfaced as a note, never an
-/// error — v1 cells stay hard-checked after upgrade).
-fn load_report(path: &str) -> Result<(ScaleReport, bool), CliError> {
+/// Loads and parses a report file.
+fn load_report(path: &str) -> Result<ScaleReport, CliError> {
     parse_report(&fs::read_to_string(path)?)
         .map_err(|e| CliError::BenchRegression(format!("{path}: {e}")))
 }
@@ -277,10 +261,10 @@ pub fn bench_diff(args: &ParsedArgs) -> Result<String, CliError> {
         }
         .into());
     }
-    let (baseline, baseline_upgraded) = load_report(baseline_path)?;
+    let baseline = load_report(baseline_path)?;
 
     let (fresh, fresh_source) = match args.get("fresh") {
-        Some(path) => (load_report(path)?.0, path.to_owned()),
+        Some(path) => (load_report(path)?, path.to_owned()),
         None => {
             let max_n = args.get_or("scale-max-n", 1_000usize)?;
             let pinned = crate::commands::apply_pricing_threads(args)?;
@@ -295,13 +279,6 @@ pub fn bench_diff(args: &ParsedArgs) -> Result<String, CliError> {
     let mut out = format!(
         "bench diff: {baseline_path} (baseline) vs {fresh_source}, tolerance {tolerance}\n"
     );
-    if baseline_upgraded {
-        let _ = writeln!(
-            out,
-            "note: baseline schema upgraded from v1 (stage columns defaulted to 0; \
-             digests still hard-checked)"
-        );
-    }
     out.push_str(&outcome.rendered);
     if args.get("profile").is_some() {
         out.push_str(&stage_breakdown(&baseline, &fresh));
@@ -370,34 +347,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_baseline_file_upgrades_with_note() {
-        let dir = std::env::temp_dir().join(format!("edge-bench-diff-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("v1-baseline.json");
-        std::fs::write(
-            &path,
-            r#"{
-                "schema": "edge-market/bench-scale/v1",
-                "threads_available": 1,
-                "cells": [{
-                    "n": 1000, "rounds": 3, "threads": 1, "reps": 3,
-                    "median_total_ns": 5, "median_ns_per_round": 1,
-                    "median_pricing_ns": 2, "payments_per_sec": 1.0,
-                    "payment_replays": 4, "replay_iterations": 9,
-                    "prefix_iterations": 3, "outcome_digest": "aa"
-                }],
-                "speedups": []
-            }"#,
-        )
-        .unwrap();
-        let (report, upgraded) = load_report(path.to_str().unwrap()).unwrap();
-        assert!(upgraded);
-        assert_eq!(report.cells[0].selection_ns, 0);
-        assert_eq!(report.cells[0].outcome_digest, "aa");
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
     fn stage_breakdown_names_the_worst_regressing_stage() {
         let base = tiny_report();
         let mut fresh = base.clone();
@@ -412,17 +361,6 @@ mod tests {
         let rendered = stage_breakdown(&base, &fresh);
         assert!(rendered.contains("stage attribution"), "{rendered}");
         assert!(rendered.contains("pricing (+"), "{rendered}");
-    }
-
-    #[test]
-    fn stage_breakdown_handles_v1_cells_without_stage_columns() {
-        let mut base = tiny_report();
-        base.cells[0].selection_ns = 0;
-        base.cells[0].merge_ns = 0;
-        base.cells[0].median_pricing_ns = 0;
-        let fresh = tiny_report();
-        let rendered = stage_breakdown(&base, &fresh);
-        assert!(rendered.contains("n/a (v1 baseline)"), "{rendered}");
     }
 
     #[test]

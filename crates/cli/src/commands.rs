@@ -412,17 +412,32 @@ fn load_round(path: &str) -> Result<WspInstance, CliError> {
     Ok(instance)
 }
 
+/// A multi-round scenario file as written. It bears the name and the
+/// fields of [`MultiRoundInstance`]'s JSON form, so a file of the wrong
+/// shape fails with the same message, but nothing is checked until
+/// [`load_rounds`] rebuilds it through the constructors.
+mod file {
+    use edge_auction::bid::Seller;
+    use edge_auction::msoa::RoundInput;
+
+    #[derive(serde::Deserialize)]
+    pub(super) struct MultiRoundInstance {
+        pub(super) sellers: Vec<Seller>,
+        pub(super) rounds: Vec<RoundInput>,
+    }
+}
+
 /// Reads a multi-round scenario file and rebuilds it through
 /// [`Seller::new`], [`Bid::new`] and [`MultiRoundInstance::new`].
 fn load_rounds(path: &str) -> Result<MultiRoundInstance, CliError> {
-    let raw: MultiRoundInstance = serde_json::from_str(&fs::read_to_string(path)?)?;
+    let raw: file::MultiRoundInstance = serde_json::from_str(&fs::read_to_string(path)?)?;
     let sellers = raw
-        .sellers()
+        .sellers
         .iter()
         .map(|s| Seller::new(s.id, s.capacity, s.window))
         .collect::<Result<_, _>>()?;
     let rounds = raw
-        .rounds()
+        .rounds
         .iter()
         .map(|r| {
             let bids = r.bids.iter().map(rebuild_bid).collect::<Result<_, _>>()?;

@@ -23,50 +23,80 @@
 //! visited and checked for a colliding run with a smaller
 //! `(seller, id)`. DESIGN.md §16 has the full argument.
 
-use crate::bid::Bid;
+use crate::bid::{Bid, Seller};
+use crate::error::AuctionError;
 use crate::ssam::ArgminStats;
 use edge_common::id::MicroserviceId;
-use std::collections::BTreeMap;
 
-/// Sellers of one auction, sorted ascending, with their best offers —
-/// the slot-indexed (dense) mirror of the `per_seller_best` map.
+/// Dense seller slots: a seller's slot is its rank in ascending id
+/// order, so the arena's `(key, slot, bid)` tie order is the scan
+/// oracle's `(key, seller, bid)` order. An instance builds its index
+/// once and every auction of the instance shares it.
+#[derive(Debug)]
+pub(crate) struct SellerIndex(Vec<MicroserviceId>);
+
+impl SellerIndex {
+    /// Indexes a seller table.
+    ///
+    /// # Errors
+    ///
+    /// [`AuctionError::DuplicateSeller`] names the smallest id the table
+    /// lists twice.
+    pub(crate) fn of_table(sellers: &[Seller]) -> Result<Self, AuctionError> {
+        let mut ids: Vec<MicroserviceId> = sellers.iter().map(|s| s.id).collect();
+        ids.sort_unstable();
+        match ids.windows(2).find(|pair| pair[0] == pair[1]) {
+            Some(pair) => Err(AuctionError::DuplicateSeller(pair[0].index())),
+            None => Ok(SellerIndex(ids)),
+        }
+    }
+
+    /// Indexes the sellers that `bids` name, and slots every bid.
+    pub(crate) fn of_bids(bids: &[Bid]) -> (Self, Vec<u32>) {
+        let mut ids: Vec<MicroserviceId> = bids.iter().map(|b| b.seller).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let index = SellerIndex(ids);
+        let slots = bids.iter().filter_map(|b| index.slot(b.seller)).collect();
+        (index, slots)
+    }
+
+    /// Number of slots.
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// The slot of `seller`, if the index holds it.
+    pub(crate) fn slot(&self, seller: MicroserviceId) -> Option<u32> {
+        self.0.binary_search(&seller).ok().map(|s| s as u32)
+    }
+}
+
+/// Each seller slot's best (max-amount) offer among one auction's bids;
+/// slots without a bid hold 0.
 #[derive(Debug)]
 pub(crate) struct SellerTable {
-    ids: Vec<MicroserviceId>,
     max: Vec<u64>,
 }
 
 impl SellerTable {
-    /// Builds the table from the feasibility pass's per-seller best map
-    /// (already sorted — `BTreeMap` iterates in seller order).
-    pub(crate) fn new(per_seller_best: &BTreeMap<MicroserviceId, u64>) -> Self {
-        let mut ids = Vec::with_capacity(per_seller_best.len());
-        let mut max = Vec::with_capacity(per_seller_best.len());
-        for (&s, &m) in per_seller_best {
-            ids.push(s);
-            max.push(m);
+    /// The best offer per slot over `(slot, amount)` pairs, for `seats`
+    /// slots.
+    pub(crate) fn new(seats: usize, offers: impl IntoIterator<Item = (u32, u64)>) -> Self {
+        let mut max = vec![0u64; seats];
+        for (slot, amount) in offers {
+            let best = &mut max[slot as usize];
+            *best = (*best).max(amount);
         }
-        SellerTable { ids, max }
+        SellerTable { max }
     }
 
-    /// Number of sellers (slots).
+    /// Number of slots.
     pub(crate) fn len(&self) -> usize {
-        self.ids.len()
+        self.max.len()
     }
 
-    /// The slot of a seller known to be in the table.
-    pub(crate) fn slot_of(&self, seller: MicroserviceId) -> u32 {
-        self.ids
-            .binary_search(&seller)
-            .expect("seller is in the table") as u32
-    }
-
-    /// The seller occupying `slot`.
-    pub(crate) fn id_of(&self, slot: u32) -> MicroserviceId {
-        self.ids[slot as usize]
-    }
-
-    /// The best (max-amount) offer of the seller in `slot`.
+    /// The best offer of the seller in `slot`.
     pub(crate) fn max_of(&self, slot: u32) -> u64 {
         self.max[slot as usize]
     }
@@ -74,6 +104,16 @@ impl SellerTable {
     /// Σ best offers — the initial `total_max` of a greedy run.
     pub(crate) fn total_max(&self) -> u64 {
         self.max.iter().sum()
+    }
+
+    /// Whether the best offers together cover `demand`; if not, the
+    /// error carries their supply, saturating at `u64::MAX`.
+    pub(crate) fn covers(&self, demand: u64) -> Result<(), AuctionError> {
+        let supply = self.max.iter().copied().fold(0, u64::saturating_add);
+        if supply < demand {
+            return Err(AuctionError::InfeasibleDemand { demand, supply });
+        }
+        Ok(())
     }
 }
 
@@ -87,8 +127,8 @@ fn total_order_key(value: f64) -> u64 {
     }
 }
 
-/// One candidate bid the argmin returned: enough to reconstruct the bid
-/// (`cand` indexes the caller's candidate list) and to sell it.
+/// One candidate bid the argmin returned: enough to find the bid
+/// (`cand` is its position in the auction's input) and to sell it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Pick {
     /// Lane the entry lives in.
@@ -102,7 +142,7 @@ pub(crate) struct Pick {
     pub slot: u32,
     /// Bid id (raw index).
     pub bid: u64,
-    /// Index into the candidate list the arena was built from.
+    /// Position of the bid in the auction's input.
     pub cand: u32,
     /// The lane's amount class (= the bid's amount).
     pub amount: u64,
@@ -241,10 +281,14 @@ fn cover(split: usize, leaves: usize) -> impl Iterator<Item = (usize, usize)> {
 }
 
 impl BidArena {
-    /// Builds the arena over `candidates`: one lane per distinct amount.
-    pub(crate) fn build(candidates: &[&Bid], table: &SellerTable) -> BidArena {
-        assert!(candidates.len() <= u32::MAX as usize, "positions are u32");
-        let mut classes: Vec<u64> = candidates.iter().map(|b| b.amount).collect();
+    /// Builds the arena over the `candidates` positions of `bids`, whose
+    /// sellers sit in `slots`: one lane per distinct amount.
+    pub(crate) fn build(bids: &[Bid], slots: &[u32], candidates: &[u32]) -> BidArena {
+        assert!(bids.len() <= u32::MAX as usize, "positions are u32");
+        let mut classes: Vec<u64> = candidates
+            .iter()
+            .map(|&i| bids[i as usize].amount)
+            .collect();
         classes.sort_unstable();
         classes.dedup();
         let lanes = classes.len();
@@ -253,8 +297,9 @@ impl BidArena {
         let mut lane_start = vec![0u32; lanes + 1];
         let entry_lane: Vec<u32> = candidates
             .iter()
-            .map(|b| {
-                let lane = classes.binary_search(&b.amount).expect("amount is a class");
+            .map(|&i| {
+                let amount = bids[i as usize].amount;
+                let lane = classes.binary_search(&amount).expect("amount is a class");
                 lane_start[lane + 1] += 1;
                 lane as u32
             })
@@ -265,13 +310,13 @@ impl BidArena {
 
         let mut entries = vec![BuildEntry::default(); candidates.len()];
         let mut fill = lane_start[..lanes].to_vec();
-        for (i, b) in candidates.iter().enumerate() {
-            let lane = entry_lane[i] as usize;
+        for (&i, &lane) in candidates.iter().zip(&entry_lane) {
+            let (b, lane) = (&bids[i as usize], lane as usize);
             entries[fill[lane] as usize] = BuildEntry {
                 price: total_order_key(b.price.value()),
                 bid: b.id.index() as u64,
-                slot: table.slot_of(b.seller),
-                cand: i as u32,
+                slot: slots[i as usize],
+                cand: i,
             };
             fill[lane] += 1;
         }
@@ -283,7 +328,7 @@ impl BidArena {
         let mut arena = BidArena {
             price: entries
                 .iter()
-                .map(|e| candidates[e.cand as usize].price.value())
+                .map(|e| bids[e.cand as usize].price.value())
                 .collect(),
             slot: entries.iter().map(|e| e.slot).collect(),
             bid: entries.iter().map(|e| e.bid).collect(),
@@ -652,13 +697,11 @@ mod tests {
         Bid::new(MicroserviceId::new(seller), BidId::new(id), amount, price).unwrap()
     }
 
-    fn table_of(bids: &[Bid]) -> SellerTable {
-        let mut best = BTreeMap::new();
-        for b in bids {
-            let e = best.entry(b.seller).or_insert(0u64);
-            *e = (*e).max(b.amount);
-        }
-        SellerTable::new(&best)
+    /// The arena over every bid, each slotted by its seller.
+    fn arena_of(bids: &[Bid]) -> BidArena {
+        let (_, slots) = SellerIndex::of_bids(bids);
+        let all: Vec<u32> = (0..bids.len() as u32).collect();
+        BidArena::build(bids, &slots, &all)
     }
 
     #[test]
@@ -682,15 +725,13 @@ mod tests {
             bid(1, 0, 2, 4.0), // $2/u  ← first
             bid(2, 0, 3, 9.0), // $3/u, bigger class
         ];
-        let refs: Vec<&Bid> = bids.iter().collect();
-        let table = table_of(&bids);
-        let arena = BidArena::build(&refs, &table);
+        let arena = arena_of(&bids);
         let mut cur = arena.initial_cursors();
         let mut stats = ArgminStats::default();
         let pick = arena
             .pop_best(&mut cur, 7, &mut stats, |_| false, |_, _| true)
             .unwrap();
-        assert_eq!(table.id_of(pick.slot), MicroserviceId::new(1));
+        assert_eq!(bids[pick.cand as usize].seller, MicroserviceId::new(1));
         assert_eq!(pick.key, 2.0);
         assert!(stats.pops > 0);
     }
@@ -700,8 +741,7 @@ mod tests {
         let bids: Vec<Bid> = (0..50)
             .map(|s| bid(s, 0, 1, if s < 37 { 2.0 } else { 3.0 }))
             .collect();
-        let refs: Vec<&Bid> = bids.iter().collect();
-        let arena = BidArena::build(&refs, &table_of(&bids));
+        let arena = arena_of(&bids);
         assert_eq!(arena.run_end(0, 50), 37);
         assert_eq!(arena.run_end(36, 50), 37);
         assert_eq!(arena.run_end(37, 50), 50);

@@ -44,15 +44,14 @@
 //! # }
 //! ```
 
+use crate::arena::SellerIndex;
 use crate::bid::{Bid, Seller};
 use crate::error::AuctionError;
-use crate::ssam::{run_ssam_counted, SsamConfig, SsamStats, WinningBid};
-use crate::wsp::WspInstance;
+use crate::ssam::{run_slotted, SsamConfig, SsamStats, WinningBid};
 use edge_common::id::{BidId, MicroserviceId};
 use edge_common::units::Price;
 use edge_telemetry::{Level, Scoped, Trace, Value};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// One round's market input.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -79,11 +78,81 @@ impl RoundInput {
 }
 
 /// A validated multi-round instance: the seller table plus per-round
-/// inputs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// inputs, and the seller index built once from them. Its JSON form
+/// holds only `sellers` and `rounds`; reading it back rebuilds the index
+/// through [`MultiRoundInstance::new`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiRoundInstance {
     sellers: Vec<Seller>,
     rounds: Vec<RoundInput>,
+    /// Each seller-table row's slot: its rank in ascending id order.
+    slots: Vec<u32>,
+    /// Each bid's seller-table row, round by round in input order.
+    rows: Vec<Vec<u32>>,
+}
+
+impl Serialize for MultiRoundInstance {
+    fn serialize(&self) -> serde::Value {
+        serde::Value::Object(vec![
+            ("sellers".to_string(), self.sellers.serialize()),
+            ("rounds".to_string(), self.rounds.serialize()),
+        ])
+    }
+}
+
+impl Deserialize for MultiRoundInstance {
+    fn deserialize(v: &serde::Value) -> Result<Self, serde::DeError> {
+        let serde::Value::Object(fields) = v else {
+            return Err(serde::DeError(
+                "expected object for `MultiRoundInstance`".to_string(),
+            ));
+        };
+        let (sellers, rounds) = (
+            serde::field(fields, "sellers")?,
+            serde::field(fields, "rounds")?,
+        );
+        MultiRoundInstance::new(sellers, rounds).map_err(|e| serde::DeError(e.to_string()))
+    }
+}
+
+/// Each seller-table row's slot, and each bid's row round by round.
+pub(crate) type SellerRows = (Vec<u32>, Vec<Vec<u32>>);
+
+/// The seller index of one instance, from one sort of the table: the
+/// slot of each row and the row of each bid, where `rounds` yields every
+/// round's bid sellers in input order.
+///
+/// # Errors
+///
+/// * [`AuctionError::DuplicateSeller`] — the table lists one id twice.
+/// * [`AuctionError::UnknownSeller`] — a bid names a seller missing from
+///   the table (the first such bid, rounds in order).
+pub(crate) fn seller_rows<R, B>(sellers: &[Seller], rounds: R) -> Result<SellerRows, AuctionError>
+where
+    R: IntoIterator<Item = B>,
+    B: IntoIterator<Item = MicroserviceId>,
+{
+    let index = SellerIndex::of_table(sellers)?;
+    let mut row_of_slot = vec![0u32; sellers.len()];
+    let slots = (sellers.iter().zip(0u32..))
+        .map(|(s, row)| {
+            let slot = index.slot(s.id).expect("every table id is indexed");
+            row_of_slot[slot as usize] = row;
+            slot
+        })
+        .collect();
+    let rows = rounds
+        .into_iter()
+        .map(|bids| {
+            (bids.into_iter())
+                .map(|seller| match index.slot(seller) {
+                    Some(slot) => Ok(row_of_slot[slot as usize]),
+                    None => Err(AuctionError::UnknownSeller(seller.index())),
+                })
+                .collect()
+        })
+        .collect::<Result<_, _>>()?;
+    Ok((slots, rows))
 }
 
 impl MultiRoundInstance {
@@ -100,19 +169,14 @@ impl MultiRoundInstance {
         if rounds.is_empty() {
             return Err(AuctionError::EmptyInstance);
         }
-        let mut known: Vec<MicroserviceId> = sellers.iter().map(|s| s.id).collect();
-        known.sort_unstable();
-        if let Some(pair) = known.windows(2).find(|pair| pair[0] == pair[1]) {
-            return Err(AuctionError::DuplicateSeller(pair[0].index()));
-        }
-        for round in &rounds {
-            for bid in &round.bids {
-                if known.binary_search(&bid.seller).is_err() {
-                    return Err(AuctionError::UnknownSeller(bid.seller.index()));
-                }
-            }
-        }
-        Ok(MultiRoundInstance { sellers, rounds })
+        let bid_sellers = rounds.iter().map(|r| r.bids.iter().map(|b| b.seller));
+        let (slots, rows) = seller_rows(&sellers, bid_sellers)?;
+        Ok(MultiRoundInstance {
+            sellers,
+            rounds,
+            slots,
+            rows,
+        })
     }
 
     /// The seller table.
@@ -130,15 +194,22 @@ impl MultiRoundInstance {
         self.rounds.len() as u64
     }
 
+    /// Each seller-table row's slot: its rank in ascending id order.
+    pub(crate) fn slots(&self) -> &[u32] {
+        &self.slots
+    }
+
+    /// Each bid's seller-table row, round by round in input order.
+    pub(crate) fn rows(&self) -> &[Vec<u32>] {
+        &self.rows
+    }
+
     /// `β = min_i Θ_i / a_ij` over every bid in the instance
     /// (`f64::INFINITY` when no bids exist).
     pub fn beta(&self) -> f64 {
-        let caps: BTreeMap<MicroserviceId, u64> =
-            self.sellers.iter().map(|s| (s.id, s.capacity)).collect();
-        self.rounds
-            .iter()
-            .flat_map(|r| &r.bids)
-            .map(|b| caps[&b.seller] as f64 / b.amount as f64)
+        (self.rounds.iter().zip(&self.rows))
+            .flat_map(|(r, rows)| r.bids.iter().zip(rows))
+            .map(|(b, &row)| self.sellers[row as usize].capacity as f64 / b.amount as f64)
             .fold(f64::INFINITY, f64::min)
     }
 
@@ -335,15 +406,14 @@ pub fn run_msoa_traced(
         ]
     });
 
-    let index_of: BTreeMap<MicroserviceId, usize> =
-        sellers.iter().enumerate().map(|(i, s)| (s.id, i)).collect();
+    let slots = instance.slots();
     let mut ledger = Ledger::new(sellers, alpha);
     let live = crate::live::AuctionLive::handle();
     let capacity_sum: u64 = sellers.iter().map(|s| s.capacity).sum();
 
     let _msoa_span = edge_telemetry::spans::enter("msoa");
     let mut rounds = Vec::with_capacity(instance.rounds().len());
-    for (t, input) in instance.rounds().iter().enumerate() {
+    for (t, (input, rows)) in instance.rounds().iter().zip(instance.rows()).enumerate() {
         let _round_span = edge_telemetry::spans::enter("round");
         let t = t as u64;
         trace.emit_with(Level::Info, "round.start", || {
@@ -358,8 +428,8 @@ pub fn run_msoa_traced(
         // order.
         let patch_span = edge_telemetry::spans::enter("patch");
         let mut admitted = Admitted::with_capacity(input.bids.len());
-        for (pos, bid) in input.bids.iter().enumerate() {
-            let si = index_of[&bid.seller];
+        for (pos, (bid, &row)) in input.bids.iter().zip(rows).enumerate() {
+            let si = row as usize;
             let window = sellers[si].available_at(t);
             if !window || !ledger.fits(si, bid.amount) {
                 trace.emit_with(Level::Debug, "bid.excluded", || {
@@ -397,17 +467,17 @@ pub fn run_msoa_traced(
                     ("scaled_price", Value::from(scaled.value())),
                 ]
             });
-            admitted.push(pos, bid, scaled);
+            admitted.push(pos, bid, scaled, slots[si]);
         }
         drop(patch_span);
 
         let demand = input.estimated_demand;
-        let stage = run_stage(demand, admitted, &input.bids, &config.ssam, t, trace)?;
+        let stage = run_stage(demand, admitted, slots.len(), &config.ssam, t, trace)?;
         let infeasible = stage.is_none() && demand > 0;
         let (won, pricing) = stage.unwrap_or_default();
         let mut winners = Vec::new();
-        for (w, original) in won {
-            let si = index_of[&w.seller];
+        for (w, pos) in won {
+            let (original, si) = (&input.bids[pos], rows[pos] as usize);
             let psi_before = ledger.psi[si];
             ledger.settle_win(si, original.amount, original.price);
             trace.emit_with(Level::Debug, "winner", || {
@@ -546,12 +616,14 @@ impl Ledger {
     }
 }
 
-/// The bids a round admitted to its auction: their scaled copies in
-/// input order, and the position each one holds in the round's input.
+/// The bids a round admitted to its auction, in input order: their
+/// scaled copies, the position each holds in the round's input, and its
+/// seller's slot.
 #[derive(Debug, Default)]
 pub(crate) struct Admitted {
     scaled: Vec<Bid>,
     positions: Vec<usize>,
+    slots: Vec<u32>,
 }
 
 impl Admitted {
@@ -559,78 +631,53 @@ impl Admitted {
         Admitted {
             scaled: Vec::with_capacity(n),
             positions: Vec::with_capacity(n),
+            slots: Vec::with_capacity(n),
         }
     }
 
-    /// Admits the input bid at `pos` at the given scaled price.
-    pub(crate) fn push(&mut self, pos: usize, bid: &Bid, price: Price) {
+    /// Admits the input bid at `pos`, of the seller in `slot`, at the
+    /// given scaled price.
+    pub(crate) fn push(&mut self, pos: usize, bid: &Bid, price: Price, slot: u32) {
         self.scaled.push(Bid { price, ..*bid });
         self.positions.push(pos);
+        self.slots.push(slot);
     }
 }
 
-/// One cleared stage: each winner, in selection order, paired with the
-/// input bid it competed with, plus the auction's work counters.
-pub(crate) type Stage<'a> = (Vec<(WinningBid, &'a Bid)>, SsamStats);
+/// One cleared stage: each winner, in selection order, with the input
+/// position of the bid it competed with, plus the auction's work
+/// counters.
+pub(crate) type Stage = (Vec<(WinningBid, usize)>, SsamStats);
 
-/// Runs one SSAM stage over the admitted bids and pairs each winner, in
-/// selection order, with the input bid it competed with. Infeasible
-/// demand maps to `None` (an auction that never priced anything); any
-/// other error propagates. The nested auction's trace events are
-/// stamped with the round index.
-pub(crate) fn run_stage<'a>(
+/// Runs one SSAM stage over the admitted bids of an instance with `seats`
+/// sellers. SSAM hands back each winner's admitted position, so every
+/// winner settles against the very bid that competed — never an
+/// excluded copy of its key. Infeasible demand maps to `None` (an
+/// auction that never priced anything); any other error propagates. The
+/// nested auction's trace events are stamped with the round index.
+pub(crate) fn run_stage(
     demand: u64,
     admitted: Admitted,
-    input: &'a [Bid],
+    seats: usize,
     config: &SsamConfig,
     t: u64,
     trace: Trace<'_>,
-) -> Result<Option<Stage<'a>>, AuctionError> {
+) -> Result<Option<Stage>, AuctionError> {
     let scoped = trace
         .sink()
         .map(|s| Scoped::new(s, vec![("round", Value::from(t))]));
     let ssam_trace = scoped.as_ref().map_or(Trace::off(), |s| Trace::new(s));
-    let cleared = WspInstance::new(demand, admitted.scaled)
-        .and_then(|inst| run_ssam_counted(&inst, config, ssam_trace));
-    let (outcome, stats) = match cleared {
-        Ok(o) => o,
+    let (bids, slots) = (&admitted.scaled, &admitted.slots);
+    let (outcome, stats, at) = match run_slotted(demand, bids, slots, seats, config, ssam_trace) {
+        Ok(cleared) => cleared,
         Err(AuctionError::InfeasibleDemand { .. }) => return Ok(None),
         Err(e) => return Err(e),
     };
-    let originals = resolve_winners(&outcome.winners, &admitted.positions, input);
+    let positions = at.into_iter().map(|a| admitted.positions[a]);
     Ok(Some((
-        outcome.winners.into_iter().zip(originals).collect(),
+        outcome.winners.into_iter().zip(positions).collect(),
         stats,
     )))
-}
-
-/// Finds, for each winner, the admitted input bid it competed with.
-///
-/// The lookup is keyed by the winners alone and the admitted positions
-/// are walked once, so the cost is one small-map probe per admitted bid
-/// and nothing is built per bid. Admitted `(seller, bid)` keys are
-/// unique — [`WspInstance::new`] rejects duplicates — so an excluded
-/// copy of a winning key can never be mistaken for the winner.
-fn resolve_winners<'a>(
-    winners: &[WinningBid],
-    positions: &[usize],
-    input: &'a [Bid],
-) -> Vec<&'a Bid> {
-    let mut pending: BTreeMap<(MicroserviceId, BidId), usize> = winners
-        .iter()
-        .enumerate()
-        .map(|(i, w)| ((w.seller, w.bid), i))
-        .collect();
-    let mut originals = vec![None; winners.len()];
-    for bid in positions.iter().map(|&pos| &input[pos]) {
-        if let Some(i) = pending.remove(&(bid.seller, bid.id)) {
-            originals[i] = Some(bid);
-        }
-    }
-    originals
-        .into_iter()
-        .map(|o| o.expect("every SSAM winner is an admitted bid"))
-        .collect()
 }
 
 #[cfg(test)]
@@ -682,6 +729,19 @@ pub(crate) mod tests {
         .unwrap_err();
         assert_eq!(err, AuctionError::DuplicateSeller(0));
         assert_eq!(err.to_string(), "seller table lists seller 0 twice");
+    }
+
+    #[test]
+    fn json_holds_the_table_and_rounds_and_reads_back_validated() {
+        let instance = two_seller_instance(2, 10);
+        let json = serde_json::to_string(&instance).unwrap();
+        assert!(json.starts_with(r#"{"sellers":["#), "{json}");
+        assert!(json.contains(r#"],"rounds":["#) && !json.contains("rows"));
+        let back: MultiRoundInstance = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, instance);
+        let unknown = json.replacen(r#""seller":1"#, r#""seller":7"#, 1);
+        let err = serde_json::from_str::<MultiRoundInstance>(&unknown).unwrap_err();
+        assert!(err.to_string().contains("undeclared seller 7"), "{err}");
     }
 
     #[test]
@@ -834,6 +894,20 @@ pub(crate) mod tests {
     pub(crate) fn repeated_bid_id_instance() -> MultiRoundInstance {
         let round = RoundInput::new(2, 2, vec![bid(0, 0, 2, 1.0), bid(0, 0, 50, 0.5)]);
         MultiRoundInstance::new(vec![seller(0, 10, (0, 0))], vec![round]).unwrap()
+    }
+
+    /// Seller 0 (Θ = 10) bids id 0 twice in one round, and both copies
+    /// fit its capacity, so both are admitted.
+    pub(crate) fn reused_bid_id_instance() -> MultiRoundInstance {
+        let bids = vec![bid(0, 0, 2, 1.0), bid(1, 0, 2, 3.0), bid(0, 0, 3, 2.0)];
+        let sellers = vec![seller(0, 10, (0, 0)), seller(1, 10, (0, 0))];
+        MultiRoundInstance::new(sellers, vec![RoundInput::new(2, 2, bids)]).unwrap()
+    }
+
+    #[test]
+    fn admitted_bids_may_not_reuse_an_id() {
+        let err = run_msoa(&reused_bid_id_instance(), &MsoaConfig::pinned(2.0)).unwrap_err();
+        assert_eq!(err, AuctionError::DuplicateBidId { seller: 0, bid: 0 });
     }
 
     /// Seller 0 (Θ = 10) wins 2 units in round 0, then bids 2⁶⁴ − 2

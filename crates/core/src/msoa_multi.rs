@@ -38,14 +38,13 @@
 
 use crate::bid::Seller;
 use crate::error::AuctionError;
-use crate::msoa::Ledger;
+use crate::msoa::{seller_rows, Ledger};
 use crate::multi_buyer::{run_ssam_multi, CoverBid, MultiBuyerOutcome, MultiBuyerWsp};
 use crate::ssam::SsamConfig;
 use edge_common::id::MicroserviceId;
 use edge_common::units::Price;
 use edge_telemetry::{Level, Trace, Value};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// One round of the multi-buyer online market.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -105,10 +104,11 @@ pub struct MsoaMultiOutcome {
 ///
 /// # Errors
 ///
-/// Returns [`AuctionError::UnknownSeller`] when a bid references a
-/// seller missing from the table; rounds that cannot be fully covered
-/// are *not* errors (the single-stage mechanism reports partial
-/// coverage).
+/// Returns [`AuctionError::DuplicateSeller`] when the table lists one
+/// seller id twice, and [`AuctionError::UnknownSeller`] when a bid
+/// references a seller missing from the table; rounds that cannot be
+/// fully covered are *not* errors (the single-stage mechanism reports
+/// partial coverage).
 pub fn run_msoa_multi(
     sellers: &[Seller],
     rounds: &[MultiBuyerRound],
@@ -130,15 +130,8 @@ pub fn run_msoa_multi_traced(
     config: &MsoaMultiConfig,
     trace: Trace<'_>,
 ) -> Result<MsoaMultiOutcome, AuctionError> {
-    let index_of: BTreeMap<MicroserviceId, usize> =
-        sellers.iter().enumerate().map(|(i, s)| (s.id, i)).collect();
-    for round in rounds {
-        for bid in &round.bids {
-            if !index_of.contains_key(&bid.seller) {
-                return Err(AuctionError::UnknownSeller(bid.seller.index()));
-            }
-        }
-    }
+    let bid_sellers = rounds.iter().map(|r| r.bids.iter().map(|b| b.seller));
+    let (_, rows) = seller_rows(sellers, bid_sellers)?;
 
     // α: harmonic of the max round total demand times the unit-price
     // spread (per-total-amount).
@@ -167,7 +160,7 @@ pub fn run_msoa_multi_traced(
     let mut ledger = Ledger::new(sellers, alpha);
     let mut results = Vec::with_capacity(rounds.len());
 
-    for (t, round) in rounds.iter().enumerate() {
+    for (t, (round, rows)) in rounds.iter().zip(&rows).enumerate() {
         let t = t as u64;
         trace.emit_with(Level::Info, "round.start", || {
             vec![
@@ -181,10 +174,9 @@ pub fn run_msoa_multi_traced(
             ]
         });
         // Filter by window and remaining capacity; scale prices by ψ.
-        let mut scaled = Vec::new();
-        let mut true_prices: BTreeMap<(MicroserviceId, usize), Price> = BTreeMap::new();
-        for bid in &round.bids {
-            let si = index_of[&bid.seller];
+        let (mut scaled, mut admitted) = (Vec::new(), Vec::new());
+        for (pos, (bid, &row)) in round.bids.iter().zip(rows).enumerate() {
+            let si = row as usize;
             if !sellers[si].available_at(t) {
                 trace.emit_with(Level::Debug, "bid.excluded", || {
                     vec![
@@ -208,7 +200,6 @@ pub fn run_msoa_multi_traced(
                 continue;
             }
             let mut b = bid.clone();
-            true_prices.insert((b.seller, b.id.index()), b.price);
             b.price =
                 Price::new_unchecked(b.price.value() + ledger.psi_adjust(si, b.total_amount()));
             trace.emit_with(Level::Debug, "bid.scaled", || {
@@ -222,22 +213,21 @@ pub fn run_msoa_multi_traced(
                 ]
             });
             scaled.push(b);
+            admitted.push(pos);
         }
         let inst = MultiBuyerWsp::new(round.demands.clone(), scaled)?;
         let outcome = run_ssam_multi(&inst, &config.ssam);
 
         let mut social_cost = Price::ZERO;
         for w in &outcome.winners {
-            let si = index_of[&w.seller];
-            let true_price = true_prices[&(w.seller, w.bid.index())];
+            // The admitted bid that won: `MultiBuyerWsp::new` rejects a
+            // reused id, so `(seller, bid)` names one admitted bid.
+            let pos = (admitted.iter().copied())
+                .find(|&p| (round.bids[p].seller, round.bids[p].id) == (w.seller, w.bid))
+                .expect("every winner is an admitted bid");
+            let (si, true_price) = (rows[pos] as usize, round.bids[pos].price);
             // The bid's declared total units, for capacity and ψ.
-            let amount = inst
-                .groups()
-                .iter()
-                .flatten()
-                .find(|b| b.seller == w.seller && b.id == w.bid)
-                .map(CoverBid::total_amount)
-                .unwrap_or(0);
+            let amount = round.bids[pos].total_amount();
             let psi_before = ledger.psi[si];
             ledger.settle_win(si, amount, true_price);
             social_cost += true_price;
@@ -380,6 +370,14 @@ mod tests {
             (total - 10.0).abs() < 1e-9 || (total - 13.0).abs() < 1e-9,
             "unexpected social cost {total}"
         );
+    }
+
+    #[test]
+    fn duplicate_seller_rejected() {
+        let (mut sellers, rounds) = two_round_setup(3);
+        sellers.push(seller(0, 100, (0, 1)));
+        let err = run_msoa_multi(&sellers, &rounds, &MsoaMultiConfig::default()).unwrap_err();
+        assert_eq!(err, AuctionError::DuplicateSeller(0));
     }
 
     #[test]

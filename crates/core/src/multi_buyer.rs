@@ -473,9 +473,8 @@ pub fn run_ssam_multi(inst: &MultiBuyerWsp, config: &SsamConfig) -> MultiBuyerOu
 }
 
 /// The seed's scan-based multi-buyer mechanism, kept as a differential
-/// oracle for the heap engine (feature `ssam-reference`, on by
-/// default). Must return bit-identical outcomes to [`run_ssam_multi`].
-#[cfg(feature = "ssam-reference")]
+/// oracle for the heap engine. Must return bit-identical outcomes to
+/// [`run_ssam_multi`].
 pub mod reference {
     use super::*;
 
@@ -623,7 +622,6 @@ pub mod reference {
     }
 }
 
-#[cfg(feature = "ssam-reference")]
 pub use reference::run_ssam_multi_reference;
 
 #[cfg(test)]

@@ -79,7 +79,6 @@ use edge_common::units::Price;
 use edge_telemetry::{Level, Trace, Value};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// A seller delivering only a fraction of what it committed in a round.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -412,7 +411,6 @@ impl FaultyMsoaOutcome {
 /// the primary auction and the backfill ladder.
 struct Market<'a> {
     sellers: &'a [Seller],
-    index_of: BTreeMap<MicroserviceId, usize>,
     plan: &'a FaultPlan,
     recovery: &'a RecoveryConfig,
     trace: Trace<'a>,
@@ -421,16 +419,25 @@ struct Market<'a> {
     blacklisted: Vec<bool>,
 }
 
+/// Where a seller stands in the round being settled.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Standing {
+    /// Has not won this round.
+    Open,
+    /// Won, and delivered in full every time.
+    Faithful,
+    /// Delivered less than it committed at least once.
+    Defaulted,
+}
+
 /// What one round has settled so far: its winners and delivered units,
-/// and who won, defaulted or delivered in full — the backfill ladder's
-/// exclusions.
-#[derive(Default)]
+/// the input positions of the bids that won, and each seller row's
+/// standing — the backfill ladder's exclusions.
 struct RoundBook {
     winners: Vec<FaultWinner>,
     delivered: u64,
-    won_bids: BTreeSet<(MicroserviceId, BidId)>,
-    faithful: BTreeSet<MicroserviceId>,
-    defaulters: BTreeSet<MicroserviceId>,
+    won: Vec<usize>,
+    standing: Vec<Standing>,
 }
 
 impl Market<'_> {
@@ -472,24 +479,25 @@ impl Market<'_> {
 
     /// Settles one stage's winners in selection order: ψ/χ (Alg. 2
     /// lines 11–12), delivery and clawback under the plan, and the
-    /// seller's reliability.
+    /// seller's reliability. `input` and `rows` are the round's bids and
+    /// their seller-table rows.
     fn settle(
         &mut self,
         t: u64,
-        won: Vec<(WinningBid, &Bid)>,
+        won: Vec<(WinningBid, usize)>,
+        (input, rows): (&[Bid], &[u32]),
         backfill: bool,
         book: &mut RoundBook,
     ) {
-        for (w, original) in won {
-            let si = self.index_of[&w.seller];
+        for (w, pos) in won {
+            let (original, si) = (&input[pos], rows[pos] as usize);
             self.ledger.settle_win(si, original.amount, original.price);
             let settled = self.deliver(t, &w, original, backfill);
-            book.won_bids.insert((w.seller, w.bid));
+            book.won.push(pos);
             if settled.delivered < settled.committed {
-                book.defaulters.insert(w.seller);
-                book.faithful.remove(&w.seller);
-            } else if !book.defaulters.contains(&w.seller) {
-                book.faithful.insert(w.seller);
+                book.standing[si] = Standing::Defaulted;
+            } else if book.standing[si] == Standing::Open {
+                book.standing[si] = Standing::Faithful;
             }
             self.emit_settlement(t, &settled, si);
             let was_blacklisted = self.blacklisted[si];
@@ -645,9 +653,9 @@ pub fn run_msoa_with_faults_traced(
         ]
     });
 
+    let slots = instance.slots();
     let mut market = Market {
         sellers,
-        index_of: sellers.iter().enumerate().map(|(i, s)| (s.id, i)).collect(),
         plan,
         recovery,
         trace,
@@ -661,13 +669,19 @@ pub fn run_msoa_with_faults_traced(
 
     let _msoa_span = edge_telemetry::spans::enter("msoa");
     let mut rounds = Vec::with_capacity(instance.rounds().len());
-    for (t, input) in instance.rounds().iter().enumerate() {
+    for (t, (input, rows)) in instance.rounds().iter().zip(instance.rows()).enumerate() {
         let _round_span = edge_telemetry::spans::enter("round");
         let t = t as u64;
         let demand = input.estimated_demand;
+        let round = (&input.bids[..], &rows[..]);
         let observed = plan.observed(t);
         let mut pricing = SsamStats::default();
-        let mut book = RoundBook::default();
+        let mut book = RoundBook {
+            winners: Vec::new(),
+            delivered: 0,
+            won: Vec::new(),
+            standing: vec![Standing::Open; slots.len()],
+        };
 
         trace.emit_with(Level::Info, "round.start", || {
             vec![
@@ -682,8 +696,8 @@ pub fn run_msoa_with_faults_traced(
         // exclusion.
         let patch_span = edge_telemetry::spans::enter("patch");
         let mut admitted = Admitted::with_capacity(input.bids.len());
-        for (pos, bid) in input.bids.iter().enumerate() {
-            let si = market.index_of[&bid.seller];
+        for (pos, (bid, &row)) in input.bids.iter().zip(rows).enumerate() {
+            let si = row as usize;
             if let Some(reason) = market.exclusion(t, si, bid, false) {
                 trace.emit_with(Level::Debug, "bid.excluded", || {
                     vec![
@@ -712,14 +726,14 @@ pub fn run_msoa_with_faults_traced(
                     ("scaled_price", Value::from(scaled.value())),
                 ]
             });
-            admitted.push(pos, bid, scaled);
+            admitted.push(pos, bid, scaled, slots[si]);
         }
         drop(patch_span);
-        let primary = run_stage(demand, admitted, &input.bids, &config.ssam, t, trace)?;
+        let primary = run_stage(demand, admitted, slots.len(), &config.ssam, t, trace)?;
         let primary_infeasible = primary.is_none() && demand > 0;
         if let Some((won, stats)) = primary {
             pricing.absorb(stats);
-            market.settle(t, won, false, &mut book);
+            market.settle(t, won, round, false, &mut book);
         }
         let mut shortfall = demand.saturating_sub(book.delivered);
 
@@ -743,25 +757,29 @@ pub fn run_msoa_with_faults_traced(
                 // Relaxation ladder: bids that already won and
                 // defaulters never return this round; blacklisted
                 // sellers return at k ≥ 1; faithful winners' remaining
-                // bids at k ≥ 2.
+                // bids at k ≥ 2. Another copy of a won bid's id never
+                // returns either: the two cannot meet in one auction
+                // (`DuplicateBidId`), so capacity kept the copy out,
+                // and capacity only tightens within a round.
                 let mut candidates = Admitted::default();
-                for (pos, bid) in input.bids.iter().enumerate() {
-                    let si = market.index_of[&bid.seller];
-                    if market.exclusion(t, si, bid, k >= 1).is_none()
-                        && !book.won_bids.contains(&(bid.seller, bid.id))
-                        && !book.defaulters.contains(&bid.seller)
-                        && (k >= 2 || !book.faithful.contains(&bid.seller))
-                    {
-                        candidates.push(pos, bid, market.scaled_price(si, bid));
+                for (pos, (bid, &row)) in input.bids.iter().zip(rows).enumerate() {
+                    let si = row as usize;
+                    let ladder = match book.standing[si] {
+                        Standing::Open => true,
+                        Standing::Faithful => k >= 2 && !book.won.contains(&pos),
+                        Standing::Defaulted => false,
+                    };
+                    if ladder && market.exclusion(t, si, bid, k >= 1).is_none() {
+                        candidates.push(pos, bid, market.scaled_price(si, bid), slots[si]);
                     }
                 }
                 // An infeasible rung still spends its attempt; the next
                 // rung relaxes further.
                 if let Some((won, stats)) =
-                    run_stage(shortfall, candidates, &input.bids, &config.ssam, t, trace)?
+                    run_stage(shortfall, candidates, slots.len(), &config.ssam, t, trace)?
                 {
                     pricing.absorb(stats);
-                    market.settle(t, won, true, &mut book);
+                    market.settle(t, won, round, true, &mut book);
                     shortfall = demand.saturating_sub(book.delivered);
                 }
             }
@@ -878,7 +896,9 @@ pub fn run_msoa_with_faults_traced(
 mod tests {
     use super::*;
     use crate::bid::Seller;
-    use crate::msoa::tests::{huge_amount_instance, repeated_bid_id_instance, HUGE_BID_EXCLUDED};
+    use crate::msoa::tests::{
+        huge_amount_instance, repeated_bid_id_instance, reused_bid_id_instance, HUGE_BID_EXCLUDED,
+    };
     use crate::msoa::{run_msoa, RoundInput};
     use edge_common::assert_money_eq;
 
@@ -1150,6 +1170,17 @@ mod tests {
         assert_eq!((w.amount, w.true_price.value()), (2, 1.0));
         assert_eq!(out.chi[0], 2, "χ must stay within Θ");
         assert_eq!(out.social_cost.value(), 1.0);
+    }
+
+    #[test]
+    fn admitted_bids_may_not_reuse_an_id() {
+        let (config, recovery) = (MsoaConfig::pinned(2.0), RecoveryConfig::default());
+        let instance = reused_bid_id_instance();
+        let err = run_msoa_with_faults(&instance, &config, &FaultPlan::empty(), &recovery);
+        assert_eq!(
+            err.unwrap_err(),
+            AuctionError::DuplicateBidId { seller: 0, bid: 0 }
+        );
     }
 
     #[test]

@@ -50,6 +50,8 @@
 //! # }
 //! ```
 
+use crate::arena::{BidArena, Cursors, SellerIndex, SellerTable};
+use crate::bid::Bid;
 use crate::error::AuctionError;
 use crate::wsp::WspInstance;
 use edge_common::id::{BidId, MicroserviceId};
@@ -237,43 +239,6 @@ fn ratio(price: Price, amount: u64, remaining: u64) -> f64 {
     price.value() / contribution(amount, remaining) as f64
 }
 
-/// Candidate set 𝔽^t: all bids, filtered by the reserve if present.
-fn reserve_filtered<'a>(
-    instance: &'a WspInstance,
-    config: &SsamConfig,
-) -> Vec<&'a crate::bid::Bid> {
-    instance
-        .bids()
-        .filter(|b| {
-            config
-                .reserve_unit_price
-                .is_none_or(|r| b.unit_price() <= r)
-        })
-        .collect()
-}
-
-/// Feasibility under the filter: every candidate seller's best offer,
-/// or [`AuctionError::InfeasibleDemand`] when together they cannot
-/// cover the demand.
-fn seller_best(
-    instance: &WspInstance,
-    candidates: &[&crate::bid::Bid],
-) -> Result<std::collections::BTreeMap<MicroserviceId, u64>, AuctionError> {
-    let mut best = std::collections::BTreeMap::new();
-    for b in candidates {
-        let e = best.entry(b.seller).or_insert(0u64);
-        *e = (*e).max(b.amount);
-    }
-    let supply = best.values().copied().fold(0, u64::saturating_add);
-    if supply < instance.demand() {
-        return Err(AuctionError::InfeasibleDemand {
-            demand: instance.demand(),
-            supply,
-        });
-    }
-    Ok(best)
-}
-
 /// Runs Algorithm 1 on a validated instance.
 ///
 /// # Errors
@@ -300,62 +265,116 @@ pub fn run_ssam_traced(
     config: &SsamConfig,
     trace: Trace<'_>,
 ) -> Result<SsamOutcome, AuctionError> {
-    run_ssam_counted(instance, config, trace).map(|(outcome, _)| outcome)
+    let bids: Vec<Bid> = instance.bids().copied().collect();
+    let (index, slots) = SellerIndex::of_bids(&bids);
+    let demand = instance.demand();
+    run_slotted(demand, &bids, &slots, index.len(), config, trace).map(|(outcome, ..)| outcome)
 }
 
-/// [`run_ssam_traced`] that also returns the auction's work counters —
-/// the same numbers its `ssam.stats` event carries.
-pub(crate) fn run_ssam_counted(
-    instance: &WspInstance,
+/// The first bid, in input order, that reuses an id its seller already
+/// bid with earlier in the input.
+pub(crate) fn first_reused_id<'a>(bids: &'a [Bid], slots: &[u32], seats: usize) -> Option<&'a Bid> {
+    // A seller whose ids ascend cannot repeat one: one pass settles the
+    // common case.
+    let mut last = vec![None; seats];
+    if (bids.iter().zip(slots)).all(|(b, &s)| last[s as usize].replace(b.id) < Some(b.id)) {
+        return None;
+    }
+    let mut keyed: Vec<_> = (slots.iter().zip(bids).enumerate())
+        .map(|(i, (&s, b))| (s, b.id, i))
+        .collect();
+    keyed.sort_unstable();
+    let reuses = keyed
+        .windows(2)
+        .filter(|p| (p[0].0, p[0].1) == (p[1].0, p[1].1));
+    reuses.map(|p| p[1].2).min().map(|i| &bids[i])
+}
+
+/// The SSAM core behind every entry point: one auction over `bids`,
+/// where `bids[i]` belongs to seller slot `slots[i]` and the `seats`
+/// slots rank the sellers in ascending id order. Returns the outcome,
+/// its work counters, and each winner's position in `bids`.
+///
+/// # Errors
+///
+/// * [`AuctionError::DuplicateBidId`] — a seller bid twice with one id
+///   (the first reuse in input order is named).
+/// * [`AuctionError::InfeasibleDemand`] — the bids cannot cover the
+///   demand (checked before anything is traced), or the reserve leaves
+///   too little supply.
+pub(crate) fn run_slotted(
+    demand: u64,
+    bids: &[Bid],
+    slots: &[u32],
+    seats: usize,
     config: &SsamConfig,
     trace: Trace<'_>,
-) -> Result<(SsamOutcome, SsamStats), AuctionError> {
+) -> Result<(SsamOutcome, SsamStats, Vec<usize>), AuctionError> {
+    if let Some(b) = first_reused_id(bids, slots, seats) {
+        return Err(AuctionError::DuplicateBidId {
+            seller: b.seller.index(),
+            bid: b.id.index(),
+        });
+    }
+    let offer = |i: u32| (slots[i as usize], bids[i as usize].amount);
+    let mut table = SellerTable::new(seats, (0..bids.len() as u32).map(offer));
+    table.covers(demand)?;
+
     let _ssam_span = edge_telemetry::spans::enter("ssam");
-    let candidates = reserve_filtered(instance, config);
+    // Candidate set 𝔽^t: all bids, filtered by the reserve if present.
+    let reserve = config.reserve_unit_price;
+    let candidates: Vec<u32> = (0..bids.len() as u32)
+        .filter(|&i| reserve.is_none_or(|r| bids[i as usize].unit_price() <= r))
+        .collect();
 
     trace.emit_with(Level::Info, "ssam.start", || {
         vec![
-            ("demand", Value::from(instance.demand())),
-            ("bids", Value::from(instance.bids().count())),
+            ("demand", Value::from(demand)),
+            ("bids", Value::from(bids.len())),
             ("candidates", Value::from(candidates.len())),
             (
                 "reserve_unit_price",
-                config
-                    .reserve_unit_price
-                    .map(Value::from)
-                    .unwrap_or(Value::F64(f64::NAN)),
+                reserve.map(Value::from).unwrap_or(Value::F64(f64::NAN)),
             ),
         ]
     });
-    if trace.is_on() {
-        if let Some(r) = config.reserve_unit_price {
-            for b in instance.bids().filter(|b| b.unit_price() > r) {
-                trace.emit_with(Level::Debug, "ssam.excluded", || {
-                    vec![
-                        ("seller", Value::from(b.seller.index())),
-                        ("bid", Value::from(b.id.index())),
-                        ("unit_price", Value::from(b.unit_price())),
-                        ("reason", Value::from("reserve")),
-                    ]
-                });
-            }
+    if let (true, Some(r)) = (trace.is_on(), reserve) {
+        // Each seller's bids together, sellers in first-bid order: the
+        // grouping of a single-round instance.
+        let mut first = vec![usize::MAX; seats];
+        for (i, &s) in slots.iter().enumerate() {
+            first[s as usize] = first[s as usize].min(i);
+        }
+        let mut over: Vec<usize> = (0..bids.len())
+            .filter(|&i| bids[i].unit_price() > r)
+            .collect();
+        over.sort_by_key(|&i| first[slots[i] as usize]);
+        for b in over.into_iter().map(|i| &bids[i]) {
+            trace.emit_with(Level::Debug, "ssam.excluded", || {
+                vec![
+                    ("seller", Value::from(b.seller.index())),
+                    ("bid", Value::from(b.id.index())),
+                    ("unit_price", Value::from(b.unit_price())),
+                    ("reason", Value::from("reserve")),
+                ]
+            });
         }
     }
-
-    let per_seller_best = seller_best(instance, &candidates)?;
+    if reserve.is_some() {
+        table = SellerTable::new(seats, candidates.iter().copied().map(offer));
+        table.covers(demand)?;
+    }
 
     // Winner selection: the SoA lane arena (`crate::arena`) answers each
     // greedy argmin in O(log lanes); the differential suite pins its
     // selections, payments, and traces to the scan oracle bit-for-bit.
     // Wall-clock goes to the `selection` and `merge` spans, never into
     // the trace.
-    let demand = instance.demand();
     let mut stats = SsamStats::default();
     let selection_span = edge_telemetry::spans::enter("selection");
-    let table = crate::arena::SellerTable::new(&per_seller_best);
     let arena = {
         let _build_span = edge_telemetry::spans::enter("arena.build");
-        crate::arena::BidArena::build(&candidates, &table)
+        BidArena::build(bids, slots, &candidates)
     };
     let lanes = arena.lanes();
     if edge_telemetry::spans::is_enabled() {
@@ -364,7 +383,7 @@ pub(crate) fn run_ssam_counted(
     }
     let (selection, snapshots) = {
         let _merge_span = edge_telemetry::spans::enter("merge");
-        greedy_select(&arena, &table, &candidates, demand, &mut stats.argmin)
+        greedy_select(&arena, &table, demand, &mut stats.argmin)
     };
     // Selection-side work counters on the `selection` span. Scans and
     // snapshot counts are position-determined (knob-invariant); lane
@@ -380,7 +399,8 @@ pub(crate) fn run_ssam_counted(
 
     if trace.is_on() {
         let mut remaining = demand;
-        for (order, (winner, c)) in selection.iter().enumerate() {
+        for (order, &(at, c)) in selection.iter().enumerate() {
+            let winner = &bids[at];
             let before = remaining;
             remaining -= c;
             trace.emit_with(Level::Debug, "ssam.select", || {
@@ -389,9 +409,9 @@ pub(crate) fn run_ssam_counted(
                     ("seller", Value::from(winner.seller.index())),
                     ("bid", Value::from(winner.id.index())),
                     ("amount", Value::from(winner.amount)),
-                    ("contribution", Value::from(*c)),
+                    ("contribution", Value::from(c)),
                     ("price", Value::from(winner.price.value())),
-                    ("unit_price", Value::from(winner.price.value() / *c as f64)),
+                    ("unit_price", Value::from(winner.price.value() / c as f64)),
                     ("remaining_before", Value::from(before)),
                 ]
             });
@@ -419,15 +439,18 @@ pub(crate) fn run_ssam_counted(
     let pricing_start = std::time::Instant::now();
     let (prefix, position) = {
         let _prefix_span = edge_telemetry::spans::enter("prefix.build");
-        build_prefix(&selection, demand, &table)
+        build_prefix(&selection, bids, slots, demand, &table)
     };
     let replays: Vec<ReplayOutcome> = {
         let _replay_span = edge_telemetry::spans::enter("replays");
-        batched_replays(&arena, &table, &selection, &prefix, &position, &snapshots)
+        batched_replays(
+            &arena, &table, bids, &selection, &prefix, &position, &snapshots,
+        )
     };
 
     let mut winners: Vec<WinningBid> = Vec::with_capacity(selection.len());
-    for ((winner, c), replay) in selection.iter().zip(replays) {
+    for (&(at, c), replay) in selection.iter().zip(replays) {
+        let winner = &bids[at];
         stats.argmin.absorb(replay.argmin);
         stats.payment_replays += 1;
         stats.replay_iterations += replay.iterations;
@@ -477,7 +500,7 @@ pub(crate) fn run_ssam_counted(
             seller: winner.seller,
             bid: winner.id,
             amount_offered: winner.amount,
-            contribution: *c,
+            contribution: c,
             price: winner.price,
             payment: Price::new_unchecked(payment_value),
         });
@@ -548,7 +571,11 @@ pub(crate) fn run_ssam_counted(
         total_payment,
         certificate,
     };
-    Ok((outcome, stats))
+    Ok((
+        outcome,
+        stats,
+        selection.iter().map(|&(at, _)| at).collect(),
+    ))
 }
 
 /// Cursor snapshots are taken every this many selections; a payment
@@ -563,8 +590,9 @@ const SNAPSHOT_STRIDE: usize = 16;
 
 /// The greedy winner selection of Algorithm 1 (lines 3–12): repeatedly
 /// accept the safe bid minimizing `∇/U`, then drop the winner's other
-/// bids. Returns `(bid, contribution)` pairs in selection order, plus
-/// periodic cursor snapshots for the payment replays to fork from.
+/// bids. Returns `(input position, contribution)` pairs in selection
+/// order, plus periodic cursor snapshots for the payment replays to fork
+/// from.
 ///
 /// A bid is *safe* iff selecting it leaves the residual demand coverable
 /// by the other unsold sellers' best offers. Every seller's max-amount
@@ -577,18 +605,17 @@ const SNAPSHOT_STRIDE: usize = 16;
 /// removes at least as much supply as demand): once unsafe, always
 /// unsafe, which is what lets the arena drop an unsafe head for good.
 fn greedy_select(
-    arena: &crate::arena::BidArena,
-    table: &crate::arena::SellerTable,
-    candidates: &[&crate::bid::Bid],
+    arena: &BidArena,
+    table: &SellerTable,
     demand: u64,
     stats: &mut ArgminStats,
-) -> (Vec<(crate::bid::Bid, u64)>, Vec<crate::arena::Cursors>) {
+) -> (Vec<(usize, u64)>, Vec<Cursors>) {
     let mut cursors = arena.initial_cursors();
-    let mut snapshots: Vec<crate::arena::Cursors> = Vec::new();
+    let mut snapshots: Vec<Cursors> = Vec::new();
     let mut sold = vec![false; table.len()];
     let mut total_max = table.total_max();
     let mut remaining = demand;
-    let mut selection: Vec<(crate::bid::Bid, u64)> = Vec::new();
+    let mut selection: Vec<(usize, u64)> = Vec::new();
     while remaining > 0 {
         if selection.len().is_multiple_of(SNAPSHOT_STRIDE) {
             snapshots.push(cursors.clone());
@@ -603,13 +630,12 @@ fn greedy_select(
                 |a, s| contribution(a, rem) + (tm - table.max_of(s)) >= rem,
             )
             .expect("a safe bid exists while the feasibility invariant holds");
-        let winner = *candidates[pick.cand as usize];
-        let c = contribution(winner.amount, remaining);
+        let c = contribution(pick.amount, remaining);
         remaining -= c;
         total_max -= table.max_of(pick.slot);
         sold[pick.slot as usize] = true;
         arena.consume(&mut cursors, &pick, stats);
-        selection.push((winner, c));
+        selection.push((pick.cand as usize, c));
     }
     (selection, snapshots)
 }
@@ -623,12 +649,13 @@ fn greedy_select(
 /// `--replay-batch 1` is the per-winner oracle the differential suite
 /// compares against.
 fn batched_replays(
-    arena: &crate::arena::BidArena,
-    table: &crate::arena::SellerTable,
-    selection: &[(crate::bid::Bid, u64)],
+    arena: &BidArena,
+    table: &SellerTable,
+    bids: &[Bid],
+    selection: &[(usize, u64)],
     prefix: &[PrefixStep],
     position_by_slot: &[u32],
-    snapshots: &[crate::arena::Cursors],
+    snapshots: &[Cursors],
 ) -> Vec<ReplayOutcome> {
     let winners = selection.len();
     if winners == 0 {
@@ -651,17 +678,17 @@ fn batched_replays(
             let mut epoch = vec![0u32; table.len()];
             (lo..hi)
                 .map(|p| {
-                    let (winner, _) = &selection[p];
-                    let w_slot = table.slot_of(winner.seller);
+                    let w_slot = prefix[p].slot;
                     work.copy_from(&snapshots[p / SNAPSHOT_STRIDE]);
                     replay_payment(
                         arena,
                         table,
+                        bids,
                         prefix,
                         position_by_slot,
                         p,
                         w_slot,
-                        winner.amount,
+                        bids[selection[p].0].amount,
                         table.max_of(w_slot),
                         &mut work,
                         &mut epoch,
@@ -696,15 +723,16 @@ fn batched_replays(
 /// seller is then pivotal and wins at any price.
 #[allow(clippy::too_many_arguments)]
 fn replay_payment(
-    arena: &crate::arena::BidArena,
-    table: &crate::arena::SellerTable,
+    arena: &BidArena,
+    table: &SellerTable,
+    bids: &[Bid],
     prefix: &[PrefixStep],
     position_by_slot: &[u32],
     p: usize,
     winner_slot: u32,
     amount: u64,
     phantom: u64,
-    work: &mut crate::arena::Cursors,
+    work: &mut Cursors,
     epoch: &mut [u32],
     epoch_id: u32,
 ) -> ReplayOutcome {
@@ -760,10 +788,11 @@ fn replay_payment(
         if contribution(amount, rem) + (tm - phantom) >= rem {
             let candidate = pick.key * contribution(amount, rem) as f64;
             if candidate > threshold {
+                let runner_up = &bids[pick.cand as usize];
                 threshold = candidate;
                 source = Some(CriticalSource {
-                    seller: table.id_of(pick.slot),
-                    bid: BidId::new(pick.bid as usize),
+                    seller: runner_up.seller,
+                    bid: runner_up.id,
                     iteration,
                     unit_price: pick.key,
                     contribution: contribution(amount, rem),
@@ -793,6 +822,8 @@ struct PrefixStep {
     seller: MicroserviceId,
     /// Its winning bid.
     bid: BidId,
+    /// Its seller slot.
+    slot: u32,
     /// Its greedy key `r_k = ∇/U` at this iteration.
     unit_price: f64,
     /// Uncovered demand entering this iteration.
@@ -805,19 +836,22 @@ struct PrefixStep {
 /// selection order) and each seller slot's selection position
 /// (`u32::MAX` for sellers that did not win).
 fn build_prefix(
-    selection: &[(crate::bid::Bid, u64)],
+    selection: &[(usize, u64)],
+    bids: &[Bid],
+    slots: &[u32],
     demand: u64,
-    table: &crate::arena::SellerTable,
+    table: &SellerTable,
 ) -> (Vec<PrefixStep>, Vec<u32>) {
     let mut prefix = Vec::with_capacity(selection.len());
     let mut position = vec![u32::MAX; table.len()];
     let mut remaining = demand;
     let mut total_max = table.total_max();
-    for (p, (winner, c)) in selection.iter().enumerate() {
-        let slot = table.slot_of(winner.seller);
+    for (p, &(at, c)) in selection.iter().enumerate() {
+        let (winner, slot) = (&bids[at], slots[at]);
         prefix.push(PrefixStep {
             seller: winner.seller,
             bid: winner.id,
+            slot,
             unit_price: ratio(winner.price, winner.amount, remaining),
             remaining,
             total_max,
@@ -872,28 +906,50 @@ fn build_certificate(winners: &[WinningBid], demand: u64, social_cost: Price) ->
 }
 
 /// The seed's scan-based SSAM, kept verbatim as the differential oracle
-/// for the lane-arena hot path (feature `ssam-reference`, on by
-/// default). Selection re-scans every candidate each iteration — O(n²)
-/// — which makes it slow but easy to audit; `run_ssam_reference` must
-/// return **bit-identical** outcomes to [`run_ssam`] on every instance
-/// (`tests/differential_ssam.rs` enforces this over randomized cases).
-#[cfg(feature = "ssam-reference")]
+/// for the lane-arena hot path. Selection re-scans every candidate each
+/// iteration — O(n²) — which makes it slow but easy to audit;
+/// `run_ssam_reference` must return **bit-identical** outcomes to
+/// [`run_ssam`] on every instance (`tests/differential_ssam.rs` enforces
+/// this over randomized cases).
 pub mod reference {
     use super::*;
+    use std::collections::BTreeMap;
+
+    /// Feasibility under the filter: every candidate seller's best offer,
+    /// or [`AuctionError::InfeasibleDemand`] when together they cannot
+    /// cover the demand.
+    fn seller_best(
+        instance: &WspInstance,
+        candidates: &[&Bid],
+    ) -> Result<BTreeMap<MicroserviceId, u64>, AuctionError> {
+        let mut best = BTreeMap::new();
+        for b in candidates {
+            let e = best.entry(b.seller).or_insert(0u64);
+            *e = (*e).max(b.amount);
+        }
+        let supply = best.values().copied().fold(0, u64::saturating_add);
+        if supply < instance.demand() {
+            return Err(AuctionError::InfeasibleDemand {
+                demand: instance.demand(),
+                supply,
+            });
+        }
+        Ok(best)
+    }
 
     /// Scan-based greedy state — the original implementation.
     #[derive(Debug)]
     struct ScanGreedy<'a> {
-        candidates: Vec<&'a crate::bid::Bid>,
+        candidates: Vec<&'a Bid>,
         remaining: u64,
-        seller_max: std::collections::BTreeMap<MicroserviceId, u64>,
+        seller_max: BTreeMap<MicroserviceId, u64>,
         total_max: u64,
         phantom: u64,
     }
 
     impl<'a> ScanGreedy<'a> {
-        fn new(candidates: Vec<&'a crate::bid::Bid>, demand: u64, phantom: u64) -> Self {
-            let mut seller_max = std::collections::BTreeMap::new();
+        fn new(candidates: Vec<&'a Bid>, demand: u64, phantom: u64) -> Self {
+            let mut seller_max = BTreeMap::new();
             for b in &candidates {
                 let e = seller_max.entry(b.seller).or_insert(0u64);
                 *e = (*e).max(b.amount);
@@ -912,7 +968,7 @@ pub mod reference {
             self.total_max - self.seller_max.get(&seller).copied().unwrap_or(0)
         }
 
-        fn is_safe(&self, b: &crate::bid::Bid) -> bool {
+        fn is_safe(&self, b: &Bid) -> bool {
             contribution(b.amount, self.remaining) + self.rest_supply(b.seller) >= self.remaining
         }
 
@@ -920,7 +976,7 @@ pub mod reference {
             contribution(amount, self.remaining) + (self.total_max - self.phantom) >= self.remaining
         }
 
-        fn best_safe(&self) -> Option<&'a crate::bid::Bid> {
+        fn best_safe(&self) -> Option<&'a Bid> {
             let remaining = self.remaining;
             self.candidates
                 .iter()
@@ -934,7 +990,7 @@ pub mod reference {
                 .copied()
         }
 
-        fn sell(&mut self, winner: &crate::bid::Bid) -> u64 {
+        fn sell(&mut self, winner: &Bid) -> u64 {
             let c = contribution(winner.amount, self.remaining);
             self.remaining -= c;
             self.total_max -= self.seller_max.remove(&winner.seller).unwrap_or(0);
@@ -943,10 +999,7 @@ pub mod reference {
         }
     }
 
-    fn greedy_select_scan(
-        candidates: Vec<&crate::bid::Bid>,
-        demand: u64,
-    ) -> Vec<(crate::bid::Bid, u64)> {
+    fn greedy_select_scan(candidates: Vec<&Bid>, demand: u64) -> Vec<(Bid, u64)> {
         let mut state = ScanGreedy::new(candidates, demand, 0);
         let mut selection = Vec::new();
         while state.remaining > 0 {
@@ -963,7 +1016,7 @@ pub mod reference {
     /// of `amount` units with the provenance of the iteration that set
     /// it, or `None` when the replay gets stuck (the seller is pivotal).
     fn critical_threshold_scan(
-        others: Vec<&crate::bid::Bid>,
+        others: Vec<&Bid>,
         demand: u64,
         amount: u64,
         phantom: u64,
@@ -1006,21 +1059,19 @@ pub mod reference {
     fn scan_auction(
         instance: &WspInstance,
         config: &SsamConfig,
-    ) -> Result<
-        (
-            Vec<(crate::bid::Bid, u64)>,
-            Vec<Option<(f64, Option<CriticalSource>)>>,
-        ),
-        AuctionError,
-    > {
-        let candidates = reserve_filtered(instance, config);
+    ) -> Result<(Vec<(Bid, u64)>, Vec<Option<(f64, Option<CriticalSource>)>>), AuctionError> {
+        // Candidate set 𝔽^t: all bids, filtered by the reserve if present.
+        let reserve = config.reserve_unit_price;
+        let candidates: Vec<&Bid> = (instance.bids())
+            .filter(|b| reserve.is_none_or(|r| b.unit_price() <= r))
+            .collect();
         let per_seller_best = seller_best(instance, &candidates)?;
         let demand = instance.demand();
         let selection = greedy_select_scan(candidates.clone(), demand);
         let thresholds = selection
             .iter()
             .map(|(winner, _)| {
-                let without: Vec<&crate::bid::Bid> = candidates
+                let without: Vec<&Bid> = candidates
                     .iter()
                     .copied()
                     .filter(|b| b.seller != winner.seller)
@@ -1101,7 +1152,6 @@ pub mod reference {
     }
 }
 
-#[cfg(feature = "ssam-reference")]
 pub use reference::run_ssam_reference;
 
 #[cfg(test)]
@@ -1397,6 +1447,23 @@ mod tests {
             .and_then(|(_, v)| v.as_f64())
             .unwrap();
         assert!(pops > 0.0);
+    }
+
+    #[test]
+    fn first_reused_id_names_the_first_reuse_in_input_order() {
+        // Seller 5 lists its ids out of order, so the sort path runs;
+        // its reuse comes first although seller 2 holds the lower slot.
+        let bids = [
+            bid(5, 1, 1, 1.0),
+            bid(2, 0, 1, 1.0),
+            bid(5, 0, 1, 1.0),
+            bid(5, 1, 2, 1.0),
+            bid(2, 0, 2, 1.0),
+        ];
+        let (index, slots) = SellerIndex::of_bids(&bids);
+        let reused = first_reused_id(&bids, &slots, index.len()).unwrap();
+        assert_eq!((reused.seller.index(), reused.id.index()), (5, 1));
+        assert!(first_reused_id(&bids[..3], &slots[..3], index.len()).is_none());
     }
 
     #[test]

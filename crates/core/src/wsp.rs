@@ -8,8 +8,10 @@
 //! instance plus its conversions into the two exact solvers of
 //! [`edge_lp`] used for the offline optimum.
 
+use crate::arena::SellerIndex;
 use crate::bid::Bid;
 use crate::error::AuctionError;
+use crate::ssam::first_reused_id;
 use edge_common::id::MicroserviceId;
 use edge_lp::{ConstraintOp, CoverOption, GroupCover, Model, VarId};
 use serde::{Deserialize, Serialize};
@@ -32,28 +34,23 @@ impl WspInstance {
     /// * [`AuctionError::InfeasibleDemand`] — even the best bid of every
     ///   seller together cannot reach `demand`.
     pub fn new(demand: u64, bids: Vec<Bid>) -> Result<Self, AuctionError> {
-        // Seller → group position, so grouping stays O(n log n) at a
-        // million bids. Group order (first-seen seller) and within-group
-        // bid order are exactly the flat list's, as before.
+        let (index, slots) = SellerIndex::of_bids(&bids);
+        if let Some(b) = first_reused_id(&bids, &slots, index.len()) {
+            return Err(AuctionError::DuplicateBidId {
+                seller: b.seller.index(),
+                bid: b.id.index(),
+            });
+        }
+        // Each seller's bids in input order, sellers in first-bid order.
+        let mut group_of = vec![usize::MAX; index.len()];
         let mut groups: Vec<Vec<Bid>> = Vec::new();
-        let mut group_of: std::collections::BTreeMap<MicroserviceId, usize> =
-            std::collections::BTreeMap::new();
-        let mut seen_ids: std::collections::BTreeSet<(MicroserviceId, edge_common::id::BidId)> =
-            std::collections::BTreeSet::new();
-        for bid in bids {
-            if !seen_ids.insert((bid.seller, bid.id)) {
-                return Err(AuctionError::DuplicateBidId {
-                    seller: bid.seller.index(),
-                    bid: bid.id.index(),
-                });
+        for (bid, &slot) in bids.into_iter().zip(&slots) {
+            let g = &mut group_of[slot as usize];
+            if *g == usize::MAX {
+                *g = groups.len();
+                groups.push(Vec::new());
             }
-            match group_of.get(&bid.seller) {
-                Some(&gi) => groups[gi].push(bid),
-                None => {
-                    group_of.insert(bid.seller, groups.len());
-                    groups.push(vec![bid]);
-                }
-            }
+            groups[*g].push(bid);
         }
         let instance = WspInstance { demand, groups };
         let supply = instance.max_supply();

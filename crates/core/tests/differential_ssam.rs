@@ -1,13 +1,11 @@
 //! Differential suite: the lane-arena hot path must be **bit-identical**
-//! to the seed's O(n²) scan implementation, which is kept behind the
-//! `ssam-reference` feature exactly for this purpose.
+//! to the seed's O(n²) scan implementation, which is kept exactly for
+//! this purpose.
 //!
 //! Both [`SsamOutcome`] and [`MultiBuyerOutcome`] derive `PartialEq`
 //! over every field (winners in selection order, exact f64 prices and
 //! payments, the Theorem 3 certificate), so a single `assert_eq!` per
 //! case checks the whole mechanism output, not just the winner set.
-
-#![cfg(feature = "ssam-reference")]
 
 use edge_auction::bid::Bid;
 use edge_auction::multi_buyer::{

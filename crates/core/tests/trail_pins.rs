@@ -17,10 +17,11 @@ use edge_auction::recovery::{
 use edge_auction::service::{
     fnv1a64, parse_log, AuctionService, LogWriter, ServiceConfig, ServiceEvent,
 };
+use edge_auction::ssam::SsamConfig;
 use edge_common::id::{BidId, MicroserviceId};
 use edge_common::rng::derive_rng;
 use edge_net::{NetFaultPlan, PartitionWindow};
-use edge_telemetry::{Collector, Trace};
+use edge_telemetry::{Collector, Trace, Value};
 use rand::Rng;
 
 const SELLERS: usize = 12;
@@ -87,6 +88,66 @@ fn faulty_msoa_trail_is_pinned() {
     let trace = Trace::new(&collector);
     run_msoa_with_faults_traced(&seeded_instance(), &config, &plan, &recovery, trace).unwrap();
     assert_eq!(digest(&collector), 0xa259_2407_641d_f049);
+}
+
+/// A plain run under a reserve, on a seller table listed in neither
+/// ascending nor dense id order (900, 7, 42, 3). Unit prices tie across
+/// sellers, so selection breaks ties on seller id; and seller 42's
+/// over-reserve bids are split by seller 7's in the round input, so
+/// `ssam.excluded` lists each seller's bids together, sellers in
+/// first-bid order, which is not input order.
+#[test]
+fn reserve_trail_on_an_unordered_seller_table_is_pinned() {
+    let id = MicroserviceId::new;
+    let sellers = vec![
+        Seller::new(id(900), 12, (0, 2)).unwrap(),
+        Seller::new(id(7), 6, (0, 2)).unwrap(),
+        Seller::new(id(42), 10, (0, 2)).unwrap(),
+        Seller::new(id(3), 8, (1, 2)).unwrap(),
+    ];
+    // (seller, bid, amount, price); the reserve is 3 per unit.
+    let book = [
+        (42, 0, 2, 8.0),  // 4/u, over the reserve
+        (7, 0, 2, 4.0),   // 2/u
+        (900, 0, 3, 6.0), // 2/u
+        (42, 1, 1, 2.0),  // 2/u
+        (7, 1, 1, 3.5),   // over
+        (3, 0, 2, 4.0),   // 2/u, outside its window in round 0
+        (42, 2, 3, 10.5), // over
+        (900, 1, 1, 2.5), // 2.5/u
+    ];
+    let rounds = [5, 6, 4]
+        .into_iter()
+        .map(|demand| {
+            let bids = book
+                .iter()
+                .map(|&(s, j, amount, price)| Bid::new(id(s), BidId::new(j), amount, price))
+                .collect::<Result<_, _>>()
+                .unwrap();
+            RoundInput::new(demand, demand, bids)
+        })
+        .collect();
+    let instance = MultiRoundInstance::new(sellers, rounds).unwrap();
+    let config = MsoaConfig {
+        ssam: SsamConfig {
+            reserve_unit_price: Some(3.0),
+        },
+        alpha: Some(2.0),
+    };
+    let collector = Collector::new();
+    run_msoa_traced(&instance, &config, Trace::new(&collector)).unwrap();
+    let excluded: Vec<(f64, f64)> = collector
+        .events()
+        .iter()
+        .filter(|e| e.name == "ssam.excluded")
+        .take(3)
+        .map(|e| {
+            let field = |k| e.field(k).and_then(Value::as_f64).unwrap();
+            (field("seller"), field("bid"))
+        })
+        .collect();
+    assert_eq!(excluded, [(42.0, 0.0), (42.0, 2.0), (7.0, 1.0)]);
+    assert_eq!(digest(&collector), 0x857a_4fd5_47e0_8527);
 }
 
 // ---------------------------------------------------------------------

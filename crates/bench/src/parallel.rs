@@ -15,9 +15,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Ambient pool size; 0 = auto (one worker per available core).
 static THREADS: AtomicUsize = AtomicUsize::new(0);
 
-/// Number of worker threads "auto" resolves to on this machine.
+/// Number of worker threads "auto" resolves to on this machine: the
+/// core count the auction engine reads once per process.
 pub fn available_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    edge_auction::available_pricing_threads()
 }
 
 /// Sets the ambient worker-pool size for subsequent [`par_map_auto`]

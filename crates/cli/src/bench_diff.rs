@@ -2,7 +2,7 @@
 //!
 //! Compares a fresh scale-benchmark run (or a `--fresh` report file)
 //! against the committed `BENCH_scale.json` baseline, cell by cell over
-//! the intersecting `(n, threads)` pairs:
+//! the seller populations `n` both reports measured:
 //!
 //! * **outcome digests must match exactly** — a digest mismatch means
 //!   the auction now computes different winners or payments, which is
@@ -30,25 +30,21 @@ use std::fs;
 pub struct DiffOutcome {
     /// The rendered, human-readable comparison table + verdict.
     pub rendered: String,
-    /// Cells compared (intersection of `(n, threads)` pairs).
+    /// Cells compared (populations present in both reports).
     pub compared: usize,
     /// Human-readable regression descriptions; empty means pass.
     pub regressions: Vec<String>,
 }
 
-/// The fresh cell measuring the same `(n, threads)` as `base_cell`.
+/// The fresh cell measuring the same `n` as `base_cell`.
 fn matching<'a>(fresh: &'a ScaleReport, base_cell: &ScaleCell) -> Option<&'a ScaleCell> {
-    fresh
-        .cells
-        .iter()
-        .find(|c| c.n == base_cell.n && c.threads == base_cell.threads)
+    fresh.cells.iter().find(|c| c.n == base_cell.n)
 }
 
 /// Compares `fresh` against `base` (see module docs for the rules).
 pub fn compare(base: &ScaleReport, fresh: &ScaleReport, tolerance: f64) -> DiffOutcome {
     let mut table = Table::new([
         "n",
-        "threads",
         "digest",
         "base ms",
         "fresh ms",
@@ -68,19 +64,18 @@ pub fn compare(base: &ScaleReport, fresh: &ScaleReport, tolerance: f64) -> DiffO
         if !digest_ok {
             verdicts.push("DIGEST");
             regressions.push(format!(
-                "n={} threads={}: outcome digest changed {} -> {} \
+                "n={}: outcome digest changed {} -> {} \
                  (outcomes must be bit-identical)",
-                base_cell.n, base_cell.threads, base_cell.outcome_digest, fresh_cell.outcome_digest
+                base_cell.n, base_cell.outcome_digest, fresh_cell.outcome_digest
             ));
         }
         let ratio = ratio_of(fresh_cell.median_total_ns, base_cell.median_total_ns);
         if ratio > 1.0 + tolerance {
             verdicts.push("SLOW");
             regressions.push(format!(
-                "n={} threads={}: total wall-clock {:.2}x the baseline \
+                "n={}: total wall-clock {:.2}x the baseline \
                  (tolerance {:.2}x)",
                 base_cell.n,
-                base_cell.threads,
                 ratio,
                 1.0 + tolerance
             ));
@@ -89,17 +84,15 @@ pub fn compare(base: &ScaleReport, fresh: &ScaleReport, tolerance: f64) -> DiffO
         if pricing_ratio > 1.0 + tolerance {
             verdicts.push("SLOW-PRICING");
             regressions.push(format!(
-                "n={} threads={}: pricing phase {:.2}x the baseline \
+                "n={}: pricing phase {:.2}x the baseline \
                  (tolerance {:.2}x)",
                 base_cell.n,
-                base_cell.threads,
                 pricing_ratio,
                 1.0 + tolerance
             ));
         }
         table.push([
             base_cell.n.to_string(),
-            base_cell.threads.to_string(),
             if digest_ok { "ok" } else { "CHANGED" }.to_string(),
             format!("{:.2}", base_cell.median_total_ns as f64 / 1e6),
             format!("{:.2}", fresh_cell.median_total_ns as f64 / 1e6),
@@ -147,15 +140,7 @@ struct StageDelta {
 /// flag relative movement, but the added nanoseconds are what the total
 /// regression is actually made of.
 pub fn stage_breakdown(base: &ScaleReport, fresh: &ScaleReport) -> String {
-    let mut table = Table::new([
-        "n",
-        "threads",
-        "selection",
-        "merge",
-        "pricing",
-        "other",
-        "worst stage",
-    ]);
+    let mut table = Table::new(["n", "selection", "merge", "pricing", "other", "worst stage"]);
     let mut rows = 0usize;
     for base_cell in &base.cells {
         let Some(fresh_cell) = matching(fresh, base_cell) else {
@@ -197,7 +182,6 @@ pub fn stage_breakdown(base: &ScaleReport, fresh: &ScaleReport) -> String {
         let cell = |s: &StageDelta| format!("{:.2}x", ratio_of(s.fresh_ns, s.base_ns));
         table.push([
             base_cell.n.to_string(),
-            base_cell.threads.to_string(),
             cell(&stages[0]),
             cell(&stages[1]),
             cell(&stages[2]),
@@ -243,14 +227,7 @@ fn load_report(path: &str) -> Result<ScaleReport, CliError> {
 
 /// The `bench diff` command body.
 pub fn bench_diff(args: &ParsedArgs) -> Result<String, CliError> {
-    args.allow_only(&[
-        "baseline",
-        "fresh",
-        "scale-max-n",
-        "pricing-threads",
-        "tolerance",
-        "profile",
-    ])?;
+    args.allow_only(&["baseline", "fresh", "scale-max-n", "tolerance", "profile"])?;
     let baseline_path = args.get("baseline").unwrap_or("BENCH_scale.json");
     let tolerance = args.get_or("tolerance", 1.0f64)?;
     // NaN is rejected along with negatives: both fail this check.
@@ -267,11 +244,7 @@ pub fn bench_diff(args: &ParsedArgs) -> Result<String, CliError> {
         Some(path) => (load_report(path)?, path.to_owned()),
         None => {
             let max_n = args.get_or("scale-max-n", 1_000usize)?;
-            let pinned = crate::commands::apply_pricing_threads(args)?;
-            (
-                run_scale(max_n, pinned),
-                format!("fresh run (max n {max_n})"),
-            )
+            (run_scale(max_n), format!("fresh run (max n {max_n})"))
         }
     };
 
@@ -285,7 +258,7 @@ pub fn bench_diff(args: &ParsedArgs) -> Result<String, CliError> {
     }
     if outcome.compared == 0 {
         return Err(CliError::BenchRegression(format!(
-            "{out}no overlapping (n, threads) cells between baseline and fresh run — \
+            "{out}no overlapping n cells between baseline and fresh run — \
              nothing was actually compared"
         )));
     }
@@ -303,7 +276,7 @@ mod tests {
     fn tiny_report() -> ScaleReport {
         // A real (tiny) run keeps the struct shape honest without
         // hand-building cells.
-        run_scale(1_000, Some(1))
+        run_scale(1_000)
     }
 
     #[test]
@@ -368,7 +341,7 @@ mod tests {
         let base = tiny_report();
         let mut fresh = base.clone();
         for c in &mut fresh.cells {
-            c.threads = 7;
+            c.n += 7;
         }
         let outcome = compare(&base, &fresh, 1.0);
         assert_eq!(outcome.compared, 0);

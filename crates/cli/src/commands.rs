@@ -191,11 +191,10 @@ COMMANDS:
                     [--seed N] [--microservices S] [--bids J] --out FILE
     ssam            run the single-stage auction on an instance
                     --input FILE [--reserve PRICE] [--trace OUT.jsonl]
-                    [--pricing-threads N]
     msoa            run the online auction on a multi-round scenario
                     --input FILE [--variant plain|da|rc|oa]
                     [--faults PLAN.toml] [--recovery on|off]
-                    [--trace OUT.jsonl] [--pricing-threads N]
+                    [--trace OUT.jsonl]
                     (--faults runs the fault-injection pipeline and
                     cannot be combined with --variant)
     audit           audit mechanism properties on an instance
@@ -209,23 +208,17 @@ COMMANDS:
                     --figure fed-faults runs the (non-figure) federation
                     fault sweep and writes BENCH_federation.json
                     [--fed-out FILE]
-                    [--pricing-threads N]
-                    (--pricing-threads: 0 = auto-detect, 1 = exact
-                    sequential path, N = parallel payment replays;
-                    outcomes are identical at every setting)
     profile         run a scale-class MSOA instance under the span
                     profiler and render the stage-attributed waterfall:
                     per-stage total/self wall time with percentages, the
                     attribution line, deterministic per-span counters
                     (replays, pop_best scans, backfill rungs), and
                     profile-side engine diagnostics (lane widths,
-                    head-read totals, adaptive-pool decisions); span
-                    structure is byte-identical at every
-                    --pricing-threads setting — only measured
-                    durations move
+                    head-read totals, pricing-pool decisions); span
+                    structure is byte-identical at every pool size —
+                    only measured durations move
                     [--scale-n N] [--rounds T] [--seed N]
                     [--faults PLAN.toml] [--recovery on|off]
-                    [--pricing-threads N]
                     [--trace OUT.jsonl] [--folded OUT.folded]
                     [--folded-weight ns|calls]
     explain         narrate one round of a recorded trace: exclusions,
@@ -260,7 +253,7 @@ COMMANDS:
                     [--http on|off] [--ingest on|off]
                     [--event-log OUT.jsonl] [--queue-cap N]
                     [--book-cap N] [--demand-cap N]
-                    [--trace OUT.jsonl] [--pricing-threads N]
+                    [--trace OUT.jsonl]
                     [--spans on|off (default off): collect the span
                     profiler tree and flush it into --trace; live
                     edge_profile_* families are always exported]
@@ -283,12 +276,12 @@ COMMANDS:
                     [--max-retries N] [--retries on|off]
                     [--book-cap N] [--demand-cap N]
                     [--fed-log OUT.jsonl] [--trace OUT.jsonl]
-                    [--pricing-threads N] [--spans on|off]
+                    [--spans on|off]
     replay          re-execute a recorded serve run from its event log,
                     offline: verifies the per-record digest chain, then
                     reproduces outcome digests and deterministic trace
-                    sections byte-identically (at any --pricing-threads
-                    setting); a trailing partial record from a mid-write
+                    sections byte-identically (at any pricing pool
+                    size); a trailing partial record from a mid-write
                     crash is dropped with a note; federation logs
                     (federate --fed-log) are detected automatically and
                     re-run through the network substrate with
@@ -298,8 +291,7 @@ COMMANDS:
                     --platforms) are assertions — replay always uses the
                     log header and errors loudly when a flag contradicts
                     it
-                    <log.jsonl> [--trace OUT.jsonl]
-                    [--pricing-threads N] [--spans on|off]
+                    <log.jsonl> [--trace OUT.jsonl] [--spans on|off]
     bench diff      compare a fresh scale run (or --fresh FILE) against
                     the committed baseline; digests must match exactly,
                     wall-clock medians within --tolerance; exits
@@ -307,7 +299,7 @@ COMMANDS:
                     regressing cell down by stage (selection vs merge vs
                     pricing) and names the worst-regressing stage
                     [--baseline BENCH_scale.json] [--fresh FILE]
-                    [--scale-max-n N] [--pricing-threads N]
+                    [--scale-max-n N]
                     [--tolerance F (relative, default 1.0)] [--profile]
     metrics-lint    validate a Prometheus text-format exposition file
                     --file FILE (use - for stdin)
@@ -365,23 +357,6 @@ fn generate_round(args: &ParsedArgs) -> Result<String, CliError> {
         instance.num_sellers(),
         instance.demand()
     ))
-}
-
-/// Applies `--pricing-threads` to the process-wide pricing pool: `0`
-/// auto-detects from the hardware, `1` pins the exact sequential path,
-/// `N > 1` fans payment replays out over `N` threads. Outcomes and
-/// traces are byte-identical at every setting (the differential suite
-/// asserts this), so the flag is purely a performance knob.
-pub(crate) fn apply_pricing_threads(args: &ParsedArgs) -> Result<Option<usize>, CliError> {
-    let Some(raw) = args.get("pricing-threads") else {
-        return Ok(None);
-    };
-    let threads: usize = raw.parse().map_err(|_| ArgsError::InvalidValue {
-        flag: "pricing-threads".into(),
-        value: raw.to_owned(),
-    })?;
-    edge_auction::set_pricing_threads(threads);
-    Ok(Some(threads))
 }
 
 fn ssam_config(args: &ParsedArgs) -> Result<SsamConfig, CliError> {
@@ -452,8 +427,7 @@ fn rebuild_bid(b: &Bid) -> Result<Bid, edge_auction::AuctionError> {
 }
 
 fn ssam(args: &ParsedArgs) -> Result<String, CliError> {
-    args.allow_only(&["input", "reserve", "trace", "pricing-threads"])?;
-    apply_pricing_threads(args)?;
+    args.allow_only(&["input", "reserve", "trace"])?;
     let instance = load_round(args.require("input")?)?;
     let config = ssam_config(args)?;
     let mut trace_note = String::new();
@@ -501,16 +475,7 @@ fn ssam(args: &ParsedArgs) -> Result<String, CliError> {
 }
 
 fn msoa(args: &ParsedArgs) -> Result<String, CliError> {
-    args.allow_only(&[
-        "input",
-        "variant",
-        "reserve",
-        "faults",
-        "recovery",
-        "trace",
-        "pricing-threads",
-    ])?;
-    apply_pricing_threads(args)?;
+    args.allow_only(&["input", "variant", "reserve", "faults", "recovery", "trace"])?;
     let fault_mode = args.get("faults").is_some() || args.get("recovery").is_some();
     if fault_mode && args.get("variant").is_some() {
         return Err(CliError::FlagConflict("variant", "faults"));
@@ -721,7 +686,6 @@ fn reproduce(args: &ParsedArgs) -> Result<String, CliError> {
         "seeds",
         "parallel",
         "trace",
-        "pricing-threads",
         "scale-out",
         "scale-max-n",
         "fed-out",
@@ -734,12 +698,11 @@ fn reproduce(args: &ParsedArgs) -> Result<String, CliError> {
         })?;
         edge_bench::parallel::set_threads(threads);
     }
-    let pinned_threads = apply_pricing_threads(args)?;
     let figure = args.get("figure").unwrap_or("all");
     // The scale benchmark is not a paper figure: it never runs as part
     // of `all`, and it writes its machine-readable report to a file.
     if figure == "scale" {
-        return reproduce_scale(args, pinned_threads);
+        return reproduce_scale(args);
     }
     if figure == "fed-faults" {
         return reproduce_fed_faults(args);
@@ -785,10 +748,8 @@ fn reproduce(args: &ParsedArgs) -> Result<String, CliError> {
 /// `reproduce --figure scale`: run the scale benchmark and write its
 /// machine-readable report ([`edge_bench::scale::ScaleReport`]).
 ///
-/// `--scale-max-n` bounds the swept populations; `--pricing-threads`
-/// (when given) pins the sweep to that single configuration instead of
-/// the default three-configuration grid.
-fn reproduce_scale(args: &ParsedArgs, pinned_threads: Option<usize>) -> Result<String, CliError> {
+/// `--scale-max-n` bounds the swept populations, one cell per size.
+fn reproduce_scale(args: &ParsedArgs) -> Result<String, CliError> {
     let out_path = args.get("scale-out").unwrap_or("BENCH_scale.json");
     let max_n = args.get_or("scale-max-n", 100_000usize)?;
     let collector = args.get("trace").map(|_| {
@@ -796,7 +757,7 @@ fn reproduce_scale(args: &ParsedArgs, pinned_threads: Option<usize>) -> Result<S
         edge_bench::profile::install(c.clone());
         c
     });
-    let report = edge_bench::scale::run_scale(max_n, pinned_threads);
+    let report = edge_bench::scale::run_scale(max_n);
     if collector.is_some() {
         edge_bench::profile::uninstall();
     }
@@ -953,7 +914,6 @@ fn serve(args: &ParsedArgs) -> Result<String, CliError> {
         "port",
         "http",
         "trace",
-        "pricing-threads",
         "event-log",
         "ingest",
         "queue-cap",
@@ -961,7 +921,6 @@ fn serve(args: &ParsedArgs) -> Result<String, CliError> {
         "demand-cap",
         "spans",
     ])?;
-    apply_pricing_threads(args)?;
     let config = crate::serve::ServeConfig {
         seed: args.get_or("seed", 42u64)?,
         microservices: args.get_or("microservices", 25usize)?,
@@ -1315,55 +1274,8 @@ mod tests {
         let _ = std::fs::remove_file(trace_path);
     }
 
-    // `--pricing-threads` mutates a process-global; tests touching it
-    // serialize here and restore the default before releasing.
-    static PRICING_FLAG_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    #[test]
-    fn pricing_threads_edge_cases_leave_output_unchanged() {
-        let _g = PRICING_FLAG_LOCK.lock().unwrap();
-        let path = temp_path("threads.json");
-        let path_s = path.to_str().unwrap();
-        run(parsed(&[
-            "generate-round",
-            "--seed",
-            "13",
-            "--microservices",
-            "12",
-            "--out",
-            path_s,
-        ]))
-        .unwrap();
-        let base = run(parsed(&["ssam", "--input", path_s])).unwrap();
-        // 0 = auto-detect, 1 = exact sequential path, 4 = parallel:
-        // every setting must render the identical result.
-        for threads in ["0", "1", "4"] {
-            let out = run(parsed(&[
-                "ssam",
-                "--input",
-                path_s,
-                "--pricing-threads",
-                threads,
-            ]))
-            .unwrap();
-            assert_eq!(out, base, "--pricing-threads {threads} changed output");
-        }
-        let err = run(parsed(&[
-            "ssam",
-            "--input",
-            path_s,
-            "--pricing-threads",
-            "lots",
-        ]))
-        .unwrap_err();
-        assert!(err.to_string().contains("lots"), "{err}");
-        edge_auction::set_pricing_threads(1);
-        let _ = std::fs::remove_file(path);
-    }
-
     #[test]
     fn reproduce_scale_writes_machine_readable_report() {
-        let _g = PRICING_FLAG_LOCK.lock().unwrap();
         let out_path = temp_path("scale.json");
         let out_s = out_path.to_str().unwrap();
         let out = run(parsed(&[
@@ -1377,37 +1289,13 @@ mod tests {
         ]))
         .unwrap();
         assert!(out.contains("Scale benchmark"), "{out}");
-        assert!(out.contains("outcomes identical"), "{out}");
+        assert!(out.contains("1 cells"), "one cell per n: {out}");
         let json = std::fs::read_to_string(&out_path).unwrap();
-        assert!(json.contains("edge-market/bench-scale/v2"), "{json}");
-        assert!(json.contains("\"outcome_digest\""));
+        assert!(json.contains("edge-market/bench-scale/v3"), "{json}");
+        // The committed n = 1000 digest: machine- and pool-independent.
+        assert!(json.contains("\"bf088683df2138c2\""), "{json}");
         assert!(json.contains("\"selection_ns\""));
-        assert!(json.contains("\"pricing_speedup_vs_1\""));
-        edge_auction::set_pricing_threads(1);
-        let _ = std::fs::remove_file(out_path);
-    }
-
-    #[test]
-    fn reproduce_scale_with_pinned_threads_sweeps_one_column() {
-        let _g = PRICING_FLAG_LOCK.lock().unwrap();
-        let out_path = temp_path("scale-pinned.json");
-        let out_s = out_path.to_str().unwrap();
-        let out = run(parsed(&[
-            "reproduce",
-            "--figure",
-            "scale",
-            "--scale-max-n",
-            "1000",
-            "--pricing-threads",
-            "1",
-            "--scale-out",
-            out_s,
-        ]))
-        .unwrap();
-        assert!(out.contains("1 cells"), "{out}");
-        let json = std::fs::read_to_string(&out_path).unwrap();
-        assert!(json.contains("\"threads\": 1"), "{json}");
-        edge_auction::set_pricing_threads(1);
+        assert!(!json.contains("\"threads\""), "{json}");
         let _ = std::fs::remove_file(out_path);
     }
 
@@ -1577,11 +1465,9 @@ mod tests {
 
     #[test]
     fn bench_diff_passes_clean_and_fails_tampered_baselines() {
-        let _g = PRICING_FLAG_LOCK.lock().unwrap();
         // One real tiny report serves as both baseline and "fresh":
         // byte-identical inputs must pass at zero tolerance.
-        let report = edge_bench::scale::run_scale(1_000, Some(1));
-        edge_auction::set_pricing_threads(1);
+        let report = edge_bench::scale::run_scale(1_000);
         let base_path = temp_path("bench-base.json");
         let base_s = base_path.to_str().unwrap();
         std::fs::write(&base_path, report.to_json()).unwrap();

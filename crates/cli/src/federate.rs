@@ -14,13 +14,13 @@
 //! Every message send, drop, timeout, and deal transition is folded
 //! into a digest-chained federation event log (`--fed-log`); `replay`
 //! re-runs the whole federation from that log's header and verifies
-//! record-for-record equality — at any `--pricing-threads` setting.
+//! record-for-record equality — at any pricing pool size.
 //! With `--platforms 1` and no net-fault plan, the run is bit-identical
 //! to the single-platform serve loop: same provider, same seed, same
 //! state digest.
 
 use crate::args::{ArgsError, ParsedArgs};
-use crate::commands::{apply_pricing_threads, CliError};
+use crate::commands::CliError;
 use edge_auction::federation::{
     render_fed_log, FederationConfig, FederationOutcome, FederationSim,
 };
@@ -47,7 +47,6 @@ pub const FEDERATE_FLAGS: &[&str] = &[
     "retries",
     "fed-log",
     "trace",
-    "pricing-threads",
     "spans",
 ];
 
@@ -137,7 +136,6 @@ pub fn render_outcome(outcome: &FederationOutcome) -> String {
 /// module docs for the determinism contract.
 pub fn federate(args: &ParsedArgs) -> Result<String, CliError> {
     args.allow_only(FEDERATE_FLAGS)?;
-    apply_pricing_threads(args)?;
     let (config, platforms) = federation_config(args)?;
     let plan = match args.get("net-faults") {
         Some(path) => crate::netfaults::parse_net_fault_plan(

@@ -6,9 +6,9 @@
 //! percentages, the attribution line (how much top-level wall time sits
 //! inside named sub-stages), the deterministic per-span counters, and
 //! the profile-side engine diagnostics. Because span *structure* is
-//! knob-invariant, the same command at `--pricing-threads 1` and `4`
-//! prints the same tree shape and counters; only the measured durations
-//! move.
+//! independent of the pricing pool, the same command on any host prints
+//! the same tree shape and counters; only the measured durations and
+//! the pool decisions move.
 //!
 //! `--trace` writes the full two-section trace (deterministic MSOA
 //! events plus flushed `span` events, then the `"section":"profile"`
@@ -17,7 +17,7 @@
 //! — for byte-deterministic output — by call counts.
 
 use crate::args::{ArgsError, ParsedArgs};
-use crate::commands::{apply_pricing_threads, CliError};
+use crate::commands::CliError;
 use crate::faults::parse_fault_plan;
 use edge_auction::msoa::{run_msoa_traced, MsoaConfig};
 use edge_auction::recovery::{run_msoa_with_faults_traced, RecoveryConfig};
@@ -42,7 +42,6 @@ pub fn profile(args: &ParsedArgs) -> Result<String, CliError> {
         "seed",
         "faults",
         "recovery",
-        "pricing-threads",
         "trace",
         "folded",
         "folded-weight",
@@ -77,13 +76,8 @@ pub fn profile(args: &ParsedArgs) -> Result<String, CliError> {
         None => None,
     };
 
-    // The knob is process-wide; restore it so an in-process caller (the
-    // test suite) sees no leakage.
-    let saved_threads = edge_auction::pricing_threads_setting();
-    apply_pricing_threads(args)?;
     let (run, tree) =
         spans::collect(|| run_instance(args, n, rounds, seed, &recovery, plan.as_ref()));
-    edge_auction::set_pricing_threads(saved_threads);
     let (summary, collector) = run?;
 
     let mut out = String::new();

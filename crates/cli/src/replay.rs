@@ -19,9 +19,8 @@
 //! the exact first divergent sequence number on mismatch.
 //!
 //! Outcome digests, payments, and deterministic trace sections come out
-//! byte-identical to the live run — at any `--pricing-threads` setting
-//! — because both state machines are pure functions of (header,
-//! events). A trailing partial record in a serve log (the daemon was
+//! byte-identical to the live run — at any pricing pool size — because
+//! both state machines are pure functions of (header, events). A trailing partial record in a serve log (the daemon was
 //! killed mid-write) is dropped with a note; corruption anywhere else
 //! is a hard error naming the exact record.
 //!
@@ -31,7 +30,7 @@
 //! "replayed the wrong log" mistake before anyone trusts the digests.
 
 use crate::args::{ArgsError, ParsedArgs};
-use crate::commands::{apply_pricing_threads, CliError};
+use crate::commands::CliError;
 use edge_auction::chain_log::has_header;
 use edge_auction::federation::{first_divergence, parse_fed_log, FedChain, FederationSim};
 use edge_auction::service::{parse_log, AuctionService, ServiceConfig};
@@ -54,10 +53,9 @@ const ASSERTION_FLAGS: &[&str] = &[
 /// Runs `replay <log.jsonl>`: parses, verifies, and re-executes the
 /// log, reporting digests. See the module docs for the contract.
 pub fn replay(args: &ParsedArgs) -> Result<String, CliError> {
-    let mut allowed = vec!["log", "trace", "pricing-threads", "spans"];
+    let mut allowed = vec!["log", "trace", "spans"];
     allowed.extend_from_slice(ASSERTION_FLAGS);
     args.allow_only(&allowed)?;
-    apply_pricing_threads(args)?;
     let spans_on = crate::commands::on_off_flag(args, "spans", false)?;
     let path = match (args.subcommand.as_deref(), args.get("log")) {
         (Some(p), None) => p.to_owned(),

@@ -42,7 +42,7 @@
 //! in log order — so auction outcomes and the deterministic trace
 //! section are a pure function of (header config, event sequence),
 //! byte-identical live or replayed, with the server on or off, at any
-//! `--pricing-threads` setting.
+//! pricing pool size.
 //!
 //! Every stage derives its RNG as `derive_rng(seed + stage, "cli-serve")`
 //! and runs the recovery pipeline; with no wire events the fault plan

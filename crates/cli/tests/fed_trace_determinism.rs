@@ -1,7 +1,8 @@
 //! Federation observability, end to end through the CLI:
 //!
 //! 1. `federate --trace` writes a deterministic trace that is
-//!    byte-identical at 1 and 4 pricing threads and byte-identical to
+//!    byte-identical with the pricing pool pinned at 1 and 4 threads
+//!    and byte-identical to
 //!    the trace `replay` re-derives from the fed log — under an ideal
 //!    network AND under an aggressive seeded fault plan (drops,
 //!    duplicates, reorders, a partition window);
@@ -20,6 +21,7 @@ use edge_auction::federation::{
     render_fed_log, FedEvent, FederationConfig, FederationOutcome, FederationSim,
 };
 use edge_auction::msoa::{MultiRoundInstance, RoundInput};
+use edge_auction::pricing::pinned;
 use edge_auction::service::ServiceConfig;
 use edge_common::fnv1a64;
 use edge_common::id::{BidId, MicroserviceId};
@@ -63,12 +65,12 @@ isolated = 1
 // 1. Trace determinism through the CLI.
 // ---------------------------------------------------------------------
 
-/// Runs `federate` with a trace + fed log at the given thread count and
-/// returns (rendered output, trace bytes, fed log bytes).
+/// Runs `federate` with a trace + fed log on a pool pinned at `threads`
+/// and returns (rendered output, trace bytes, fed log bytes).
 fn federate_traced(
     dir: &std::path::Path,
     plan: Option<&str>,
-    threads: &str,
+    threads: usize,
 ) -> (String, String, String) {
     let log = dir.join(format!("fed-{threads}.jsonl"));
     let trace = dir.join(format!("trace-{threads}.jsonl"));
@@ -90,23 +92,21 @@ fn federate_traced(
         log.to_str().unwrap().to_owned(),
         "--trace".to_owned(),
         trace.to_str().unwrap().to_owned(),
-        "--pricing-threads".to_owned(),
-        threads.to_owned(),
     ];
     if let Some(plan_path) = plan {
         args.push("--net-faults".to_owned());
         args.push(plan_path.to_owned());
     }
-    let out = run(ParsedArgs::parse(args).expect("args")).expect("federate");
+    let args = ParsedArgs::parse(args).expect("args");
+    let out = pinned(threads, None, || run(args)).expect("federate");
     let trace_text = std::fs::read_to_string(&trace).expect("trace written");
     let log_text = std::fs::read_to_string(&log).expect("fed log written");
     (out, trace_text, log_text)
 }
 
 fn assert_trace_deterministic(dir: &std::path::Path, plan: Option<&str>, tag: &str) {
-    let (out_1, trace_1, log_1) = federate_traced(dir, plan, "1");
-    let (out_4, trace_4, log_4) = federate_traced(dir, plan, "4");
-    edge_auction::set_pricing_threads(1);
+    let (out_1, trace_1, log_1) = federate_traced(dir, plan, 1);
+    let (out_4, trace_4, log_4) = federate_traced(dir, plan, 4);
     // The rendered summaries embed the per-thread output paths; every
     // other line must agree.
     let pathless = |out: &str| -> Vec<String> {
@@ -127,16 +127,13 @@ fn assert_trace_deterministic(dir: &std::path::Path, plan: Option<&str>, tag: &s
     // must reproduce the live trace byte for byte.
     let log_path = dir.join("fed-1.jsonl");
     let replay_trace = dir.join(format!("replay-trace-{tag}.jsonl"));
-    let replay_out = run(parsed(&[
+    let replay_args = parsed(&[
         "replay",
         log_path.to_str().unwrap(),
         "--trace",
         replay_trace.to_str().unwrap(),
-        "--pricing-threads",
-        "4",
-    ]))
-    .expect("replay");
-    edge_auction::set_pricing_threads(1);
+    ]);
+    let replay_out = pinned(4, None, || run(replay_args)).expect("replay");
     assert!(replay_out.contains("record-for-record"), "{replay_out}");
     let replayed = std::fs::read_to_string(&replay_trace).expect("replay trace written");
     assert_eq!(

@@ -1,15 +1,16 @@
 //! Federation determinism, end to end through the CLI:
 //!
 //! 1. `federate` under an aggressive seeded net-fault plan produces
-//!    byte-identical output at 1 and 4 pricing threads, and `replay` of
-//!    its fed log reproduces every digest record-for-record at both
-//!    thread counts;
+//!    byte-identical output with the pricing pool pinned at 1 and 4
+//!    threads, and `replay` of its fed log reproduces every digest
+//!    record-for-record at both pins;
 //! 2. a single-platform federation over an ideal network is
 //!    bit-identical to the plain `serve` drive loop (PR 6 semantics);
 //! 3. config flags on `replay` are assertions: a contradicting flag is
 //!    a loud error, a matching one passes.
 
 use edge_auction::federation::{FederationConfig, FederationSim};
+use edge_auction::pricing::pinned;
 use edge_market_cli::args::ParsedArgs;
 use edge_market_cli::commands::run;
 use edge_market_cli::serve::{drive, stage_provider, ServeConfig, ServeState};
@@ -60,8 +61,8 @@ fn federate_and_replay_agree_at_one_and_four_threads() {
     let plan = plan_path.to_str().unwrap();
     let log = log_path.to_str().unwrap();
 
-    let federate = |threads: &str| {
-        run(parsed(&[
+    let federate = |threads: usize| {
+        let args = parsed(&[
             "federate",
             "--platforms",
             "3",
@@ -79,15 +80,12 @@ fn federate_and_replay_agree_at_one_and_four_threads() {
             plan,
             "--fed-log",
             log,
-            "--pricing-threads",
-            threads,
-        ]))
-        .expect("federate")
+        ]);
+        pinned(threads, None, || run(args)).expect("federate")
     };
-    let live_1 = federate("1");
+    let live_1 = federate(1);
     let log_text = std::fs::read_to_string(&log_path).expect("fed log written");
-    let live_4 = federate("4");
-    edge_auction::set_pricing_threads(1);
+    let live_4 = federate(4);
 
     assert_eq!(
         live_1, live_4,
@@ -103,9 +101,8 @@ fn federate_and_replay_agree_at_one_and_four_threads() {
         "federate printed no digests: {live_1}"
     );
 
-    let replay_1 = run(parsed(&["replay", log, "--pricing-threads", "1"])).expect("replay @1");
-    let replay_4 = run(parsed(&["replay", log, "--pricing-threads", "4"])).expect("replay @4");
-    edge_auction::set_pricing_threads(1);
+    let replay_1 = pinned(1, None, || run(parsed(&["replay", log]))).expect("replay @1");
+    let replay_4 = pinned(4, None, || run(parsed(&["replay", log]))).expect("replay @4");
     assert_eq!(
         replay_1, replay_4,
         "replay output diverged across pricing-thread counts"

@@ -1,17 +1,19 @@
 //! Span-profiler determinism: the deterministic trace section and the
 //! call-weighted folded stacks of `edge-market profile` must be
-//! byte-identical at any `--pricing-threads` setting, on a
+//! byte-identical with the pricing pool pinned at 1 and 4 threads, on a
 //! seeded *faulty* instance (so recovery rungs and backfill spans are
-//! exercised too) — only the `"section":"profile"` tail may move.
+//! exercised too) — only the `"section":"profile"` tail may move. The
+//! profile runs in-process, where the thread-local pin reaches it.
 //!
 //! A second property locks the serve/replay arm: the span events a
 //! `serve --spans on` trace carries must equal the ones `replay --spans
 //! on` regenerates from the event log, because spans open only for
 //! accepted events and replay applies exactly the accepted sequence.
-//!
-//! Every run is a subprocess of the built binary, so the process-global
-//! pricing-thread knob never races other tests.
+//! Those two runs are subprocesses of the built binary.
 
+use edge_auction::pricing::pinned;
+use edge_market_cli::args::ParsedArgs;
+use edge_market_cli::commands::run;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -57,7 +59,7 @@ const FAULT_PLAN: &str = "[[defaults]]\nround = 1\nseller = 0\ndelivered_fractio
                           [[dropouts]]\nindicator = \"rate\"\nfrom = 0\nuntil = 1\n";
 
 #[test]
-fn profile_is_knob_invariant_on_a_faulty_instance() {
+fn profile_is_pool_invariant_on_a_faulty_instance() {
     let plan = temp_path("plan.toml");
     std::fs::write(&plan, FAULT_PLAN).unwrap();
     let plan_s = plan.to_str().unwrap().to_owned();
@@ -65,28 +67,31 @@ fn profile_is_knob_invariant_on_a_faulty_instance() {
     let mut dets = Vec::new();
     let mut folds = Vec::new();
     let mut stdouts = Vec::new();
-    for threads in ["1", "4"] {
+    for threads in [1, 4] {
         let trace = temp_path(&format!("t{threads}.jsonl"));
         let folded = temp_path(&format!("t{threads}.folded"));
-        let stdout = run_ok(&[
-            "profile",
-            "--scale-n",
-            "3000",
-            "--rounds",
-            "2",
-            "--seed",
-            "7",
-            "--faults",
-            &plan_s,
-            "--pricing-threads",
-            threads,
-            "--trace",
-            trace.to_str().unwrap(),
-            "--folded",
-            folded.to_str().unwrap(),
-            "--folded-weight",
-            "calls",
-        ]);
+        let args = ParsedArgs::parse(
+            [
+                "profile",
+                "--scale-n",
+                "3000",
+                "--rounds",
+                "2",
+                "--seed",
+                "7",
+                "--faults",
+                &plan_s,
+                "--trace",
+                trace.to_str().unwrap(),
+                "--folded",
+                folded.to_str().unwrap(),
+                "--folded-weight",
+                "calls",
+            ]
+            .map(str::to_owned),
+        )
+        .expect("args parse");
+        let stdout = pinned(threads, None, || run(args)).expect("profile runs");
         let trace_text = std::fs::read_to_string(&trace).expect("trace written");
         assert!(
             trace_text.contains("\"section\":\"profile\""),

@@ -3,8 +3,8 @@
 //! The acceptance criterion for `edge-market serve` is that the HTTP
 //! server is a pure observer — with the server enabled and `/metrics`
 //! plus `/status` hammered mid-run, MSOA outcomes and the deterministic
-//! trace section must be byte-identical to a server-off run, at both 1
-//! and 4 pricing threads.
+//! trace section must be byte-identical to a server-off run, with the
+//! pricing pool pinned at both 1 and 4 threads.
 //!
 //! The server-on run is timing-independent: instead of sleeping between
 //! stages and hoping the scraper lands mid-run, the drive loop blocks in
@@ -13,6 +13,7 @@
 //! round trip strictly inside that inter-stage window. Every stage is
 //! therefore provably scraped mid-run, with zero sleeps in the test.
 
+use edge_auction::pricing::pinned;
 use edge_market_cli::serve::{drive, start_http, ServeConfig, ServeState};
 use edge_telemetry::Collector;
 use std::io::{Read as _, Write as _};
@@ -55,10 +56,10 @@ fn get(addr: SocketAddr, path: &str) -> String {
 
 /// Runs the drive loop with no HTTP server; returns (digest, trace).
 fn run_server_off(threads: usize) -> (String, String) {
-    edge_auction::set_pricing_threads(threads);
     let collector = Collector::new();
     let state = ServeState::new();
-    let summary = drive(&config(), &state, Some(&collector)).expect("drive");
+    let summary =
+        pinned(threads, None, || drive(&config(), &state, Some(&collector))).expect("drive");
     (
         summary.last_digest.expect("stages ran"),
         collector.deterministic_jsonl(),
@@ -98,7 +99,6 @@ impl Rendezvous {
 /// guaranteeing at least one full scrape lands inside each inter-stage
 /// window. Returns (digest, trace, stages barriered).
 fn run_server_on(threads: usize) -> (String, String, u64) {
-    edge_auction::set_pricing_threads(threads);
     let collector = Collector::new();
     let state = Arc::new(ServeState::new());
     let (addr, http) = start_http(Arc::clone(&state), 0).expect("bind");
@@ -129,7 +129,8 @@ fn run_server_on(threads: usize) -> (String, String, u64) {
         });
     }
 
-    let summary = drive(&config(), &state, Some(&collector)).expect("drive");
+    let summary =
+        pinned(threads, None, || drive(&config(), &state, Some(&collector))).expect("drive");
 
     stop.store(true, Ordering::Relaxed);
     scraper.join().expect("scraper joins");
@@ -149,7 +150,6 @@ fn scraped_serve_is_byte_identical_to_server_off() {
     for threads in [1usize, 4] {
         let (digest_off, trace_off) = run_server_off(threads);
         let (digest_on, trace_on, barriers) = run_server_on(threads);
-        edge_auction::set_pricing_threads(1);
 
         assert_eq!(
             barriers, expected_stages,
@@ -176,7 +176,6 @@ fn scraped_serve_is_byte_identical_to_server_off() {
     // And across thread counts the outcomes themselves agree.
     let (digest_1, trace_1) = run_server_off(1);
     let (digest_4, trace_4) = run_server_off(4);
-    edge_auction::set_pricing_threads(1);
     assert_eq!(digest_1, digest_4, "digest diverged across thread counts");
     assert_eq!(
         deterministic_section(&trace_1),

@@ -1,14 +1,15 @@
 //! Differential serve-vs-replay suite: for random event sequences, the
 //! live service and an offline replay of its event log must agree —
 //! outcome digests, payments, winner counts, state digests, and the
-//! deterministic JSONL trace section, **byte for byte**, at 1 and 4
-//! pricing threads.
+//! deterministic JSONL trace section, **byte for byte**. The live run
+//! sizes its own pricing pool; the replay is pinned at 1 and 4 threads.
 //!
 //! This is the log-is-source-of-truth property: a live run writes every
 //! accepted event to a digest-chained log; replaying that log through a
 //! fresh [`AuctionService`] over the same seeded provider is the same
 //! pure computation.
 
+use edge_auction::pricing::pinned;
 use edge_auction::service::{parse_log, AuctionService, LogWriter, ServiceConfig, ServiceEvent};
 use edge_market_cli::serve::stage_provider;
 use edge_telemetry::Collector;
@@ -79,7 +80,6 @@ fn live_then_replay(
     events: &[ServiceEvent],
     threads: usize,
 ) -> (Fingerprint, Fingerprint, String, String) {
-    edge_auction::set_pricing_threads(1);
     let live_trace = Collector::new();
     let mut live = AuctionService::new(config, stage_provider(config));
     let mut buf = Vec::new();
@@ -102,22 +102,21 @@ fn live_then_replay(
         live.total_payment(),
     );
 
-    edge_auction::set_pricing_threads(threads);
     let text = String::from_utf8(buf).expect("utf8 log");
     let parsed = parse_log(&text, false).expect("log verifies");
     assert_eq!(parsed.config, config);
     let replay_trace = Collector::new();
     let mut replayed = AuctionService::new(parsed.config, stage_provider(parsed.config));
-    replayed
-        .apply_all(&parsed.records, Some(&replay_trace))
-        .expect("every logged event replays");
+    pinned(threads, None, || {
+        replayed.apply_all(&parsed.records, Some(&replay_trace))
+    })
+    .expect("every logged event replays");
     let replay_fp = (
         replayed.state_digest_hex(),
         replayed.last_outcome_digest_hex(),
         replayed.winners(),
         replayed.total_payment(),
     );
-    edge_auction::set_pricing_threads(1);
     (
         live_fp,
         replay_fp,
@@ -129,8 +128,6 @@ fn live_then_replay(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    // A single property (not one per thread count) so the global
-    // pricing-thread setting is never raced by parallel test threads.
     #[test]
     fn random_event_sequences_replay_byte_identically(
         events in arb_events(),

@@ -392,3 +392,49 @@ fn deeply_nested_body_is_malformed_and_the_server_lives_on() {
     state.request_shutdown();
     http.join().expect("http joins");
 }
+
+#[test]
+fn demand_past_an_unbounded_cap_is_refused_and_the_server_lives_on() {
+    let state = Arc::new(ServeState::new());
+    let (tx, rx) = sync_channel::<IngressMsg>(8);
+    let (addr, http) =
+        edge_market_cli::serve::start_http_with_ingest(Arc::clone(&state), 0, Some(tx))
+            .expect("bind");
+    let config = ServeConfig {
+        seed: 5,
+        microservices: 6,
+        requests: 40,
+        demand_cap: u64::MAX,
+        ..ServeConfig::default()
+    };
+    let mut svc = AuctionService::new(
+        config.service_config(),
+        stage_provider(config.service_config()),
+    );
+    let (status, body) = post_through_service(
+        addr,
+        "/v1/demand",
+        &format!(r#"{{"units":{}}}"#, u64::MAX),
+        &rx,
+        &mut svc,
+    );
+    assert!(status.contains("200"), "{status} {body}");
+    let digests_before = (svc.book_digest_hex(), svc.state_digest_hex());
+
+    // The pending sum would pass `u64::MAX`: a rejection, not a wrap.
+    let (status, reply) = post_through_service(addr, "/v1/demand", r#"{"units":1}"#, &rx, &mut svc);
+    assert!(status.contains(" 4"), "{status} {reply}");
+    assert!(
+        reply.contains("\"ok\":false,\"error\":\"demand_over_cap\""),
+        "{reply}"
+    );
+    let (status, body) = get(addr, "/healthz");
+    assert!(status.contains("200"), "{status} {body}");
+    assert_eq!(
+        (svc.book_digest_hex(), svc.state_digest_hex()),
+        digests_before
+    );
+
+    state.request_shutdown();
+    http.join().expect("http joins");
+}

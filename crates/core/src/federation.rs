@@ -26,7 +26,7 @@
 //! * every network and protocol event folds into an FNV-1a digest chain
 //!   ([`FederationSim`] records, written as the [`FedChain`]
 //!   [`crate::chain_log`] format), so a run is replayed byte-identically
-//!   from its log header at any `--pricing-threads` setting;
+//!   from its log header at any pricing pool size;
 //! * every wire payload travels inside a [`FedPacket`] span envelope
 //!   (`"{deal}#{hop}"` causal ids derived from driver order and logical
 //!   ticks), and a `federate --trace` run mirrors each deal's full

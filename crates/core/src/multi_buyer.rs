@@ -39,6 +39,7 @@
 //! ```
 
 use crate::error::AuctionError;
+use crate::pricing;
 use crate::ssam::SsamConfig;
 use edge_common::id::{BidId, MicroserviceId};
 use edge_common::units::Price;
@@ -398,16 +399,19 @@ fn greedy_multi(
 /// utility with exact critical-value payments via a replay without each
 /// winner.
 pub fn run_ssam_multi(inst: &MultiBuyerWsp, config: &SsamConfig) -> MultiBuyerOutcome {
+    let start = std::time::Instant::now();
     let (selection, covered) = greedy_multi(inst, config.reserve_unit_price, None);
+    let greedy_ns = start.elapsed().as_nanos() as u64;
 
     // Replay without each winner's seller; at every replay state, the
     // winner's threshold opportunity is r_k × its marginal utility in
     // that state. The replay runs on the same lazy-heap engine as
     // selection, just with the winner's seller excluded. The replays are
-    // mutually independent, so they fan out over the configured pricing
-    // pool and merge back in winner order (deterministic at any thread
-    // count).
-    let thresholds: Vec<Option<f64>> = crate::pricing::fan_out(selection.len(), |p| {
+    // mutually independent, so they fan out over a pool sized by the
+    // same rule as SSAM's and merge back in winner order (deterministic
+    // at any thread count).
+    let pool = pricing::pool_for(selection.len(), greedy_ns);
+    let thresholds: Vec<Option<f64>> = pricing::fan_out(pool.threads, selection.len(), |p| {
         let (g, j, _, _) = selection[p];
         let bid = &inst.groups[g][j];
         let mut engine = MultiGreedy::new(inst, config.reserve_unit_price, Some(bid.seller));

@@ -1,4 +1,4 @@
-//! Process-global runtime knobs and the critical-value pricing pool.
+//! The critical-value pricing pool.
 //!
 //! Every winner's payment replay is independent of the others (each
 //! replays the auction with a different seller excluded), so the payment
@@ -7,140 +7,75 @@
 //! construction: workers only *compute* — thresholds, provenance, and
 //! counter deltas — while all trace emission, stats absorption, and
 //! outcome assembly happen on the calling thread in the same order as
-//! the sequential path. One thread (the default) takes the exact
-//! sequential code path with no spawning at all.
+//! the sequential path. A pool of one takes the exact sequential code
+//! path with no spawning at all.
 //!
-//! The pool size and the replay batch size are ambient process state,
-//! mirroring `edge_bench::parallel`: benchmarks and the CLI set the pool
-//! once (`--pricing-threads`), and every auction in the process picks it
-//! up. Neither may observably change an outcome or a trace — they are
-//! tuning knobs, not configuration, which is also why they are *not*
-//! part of [`crate::ssam::SsamConfig`] (whose serialized form is folded
-//! into event-log header digests).
+//! # Pool sizing
 //!
-//! # Adaptive sizing (`--pricing-threads 0`)
+//! Each payment phase chooses its own pool; there is no setting. One
+//! pure rule ([`pool_threads`]) takes three inputs:
 //!
-//! `0` used to resolve to `available_parallelism`, which made four
-//! threads *slower* than one on small instances (committed baseline:
-//! 0.49x at n=10k on a 1-core box) — spawn/steal overhead swamped the
-//! actual work. Auto now *measures* instead of assuming: a one-time
-//! probe times a trivial scoped spawn ([`spawn_overhead_ns`]), an EMA
-//! tracks the observed per-replay cost of previous payment phases, and
-//! [`fan_out_weighted`] only adds a worker when the estimated work share
-//! it would take is several times its spawn cost. On a single-core box
-//! the pool is always 1. Thread-count choice is outcome-neutral (the
-//! differential suite proves byte-identical traces at any count), so a
-//! measured — machine-dependent — choice is safe where anything
-//! observable would not be.
+//! * the host's core count, read once per process
+//!   ([`available_pricing_threads`]; CPU affinity and cgroup quotas
+//!   already bound it);
+//! * the cost of spawning one scoped worker, probed once per process
+//!   ([`spawn_overhead_ns`]);
+//! * the phase's own work estimate: each replay is priced at half the
+//!   real greedy run it replays (a replay answers the prefix before its
+//!   winner in O(1) and re-runs the rest), timed around that run.
+//!
+//! A worker is added only when its share of the work is at least
+//! [`SPAWN_AMORTIZATION`] spawn costs, and only when it gets at least
+//! [`MIN_REPLAYS_PER_WORKER`] replays. The second bound is deterministic
+//! on purpose: a scheduler stall inside a microsecond greedy run would
+//! otherwise make a tiny stage look large, and the first thread a
+//! process spawns switches glibc's allocator out of its single-threaded
+//! fast path for the rest of the process — an allocation-heavy run of
+//! tiny stages (a federation) would pay for a spawn it never needed. So
+//! a stage of a few winners never spawns, not even to probe, and a
+//! one-core host never does. Nothing carries from one auction to the
+//! next: the same auction gets the same pool wherever in the process it
+//! runs. The replay batch follows from the pool that was chosen
+//! ([`replay_batch`]). Pool size and batch geometry are
+//! outcome-neutral (the differential suites prove byte-identical traces
+//! at every pinned combination), so a measured, machine-dependent
+//! choice is safe where anything observable would not be. That is also
+//! why neither is part of [`crate::ssam::SsamConfig`], whose serialized
+//! form is folded into event-log header digests.
 
+use std::cell::Cell;
 use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
-
-/// Configured pricing threads; `0` means "adaptive at use". Defaults
-/// to `1` — the exact sequential path — so library users opt in to
-/// parallelism explicitly.
-static PRICING_THREADS: AtomicUsize = AtomicUsize::new(1);
-
-/// Replay batch size; `0` means "auto-size from the winner count and
-/// pool", `1` prices every winner in its own batch (the differential
-/// oracle's configuration).
-static REPLAY_BATCH: AtomicUsize = AtomicUsize::new(0);
-
-/// EMA of the observed cost of one payment replay, nanoseconds.
-/// `0` = no observation yet (cold process).
-static REPLAY_EMA_NS: AtomicU64 = AtomicU64::new(0);
-
-/// Per-replay cost assumed before the first measurement. Deliberately
-/// small: a cold process under-threads rather than over-threads.
-const COLD_REPLAY_ESTIMATE_NS: u64 = 2_000;
 
 /// A worker is only added when its estimated share of the work is at
 /// least this multiple of the measured spawn overhead.
 const SPAWN_AMORTIZATION: u64 = 8;
 
-/// Threads the host offers (always at least 1).
+/// Fewest payment replays a worker takes: below two workers' worth the
+/// whole phase is a few hundred greedy steps, which no spawn can beat.
+const MIN_REPLAYS_PER_WORKER: usize = 16;
+
+/// Most winners one replay batch holds.
+const MAX_BATCH: usize = 64;
+
+/// Threads the host offers (always at least 1), read once per process.
 pub fn available_pricing_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
-/// Sets the pricing pool size for subsequent auctions in this process.
-/// `0` sizes the pool adaptively per payment phase (measured spawn
-/// overhead vs estimated replay work — never more than the detected
-/// parallelism); `1` (the default) runs payments on the calling thread.
-pub fn set_pricing_threads(threads: usize) {
-    PRICING_THREADS.store(threads, Ordering::Relaxed);
-}
-
-/// The raw configured value (`0` = adaptive), as last set.
-pub fn pricing_threads_setting() -> usize {
-    PRICING_THREADS.load(Ordering::Relaxed)
-}
-
-/// The pool-size *ceiling* auctions will use, with `0` resolved to the
-/// detected parallelism. Under the adaptive setting the actual pool for
-/// a given payment phase may be smaller — down to 1 — when the measured
-/// work does not cover the spawn overhead.
-pub fn current_pricing_threads() -> usize {
-    match PRICING_THREADS.load(Ordering::Relaxed) {
-        0 => available_pricing_threads(),
-        n => n,
-    }
-}
-
-/// Sets the replay batch size. `0` (default) auto-sizes; `1` forces
-/// one winner per batch — the per-winner oracle the differential suite
-/// compares batched pricing against. Batching is outcome-neutral:
-/// batches share a cursor snapshot, not results.
-#[doc(hidden)]
-pub fn set_replay_batch(batch: usize) {
-    REPLAY_BATCH.store(batch, Ordering::Relaxed);
-}
-
-/// The raw configured replay batch size (`0` = auto), as last set.
-#[doc(hidden)]
-pub fn replay_batch_setting() -> usize {
-    REPLAY_BATCH.load(Ordering::Relaxed)
-}
-
-/// The batch size to use for `winners` replays on a pool of `threads`.
-pub(crate) fn effective_replay_batch(winners: usize, threads: usize) -> usize {
-    match REPLAY_BATCH.load(Ordering::Relaxed) {
-        0 => (winners / (threads.max(1) * 4)).clamp(1, 64),
-        n => n,
-    }
-}
-
-/// Feeds one payment phase's observed cost into the per-replay EMA.
-pub(crate) fn note_pricing_phase(replays: u64, nanos: u64) {
-    if replays == 0 {
-        return;
-    }
-    let per_replay = nanos / replays;
-    let _ = REPLAY_EMA_NS.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |old| {
-        Some(if old == 0 {
-            per_replay
-        } else {
-            (3 * old + per_replay) / 4
-        })
-    });
-}
-
-/// The current per-replay cost estimate, nanoseconds.
-pub(crate) fn replay_cost_estimate_ns() -> u64 {
-    match REPLAY_EMA_NS.load(Ordering::Relaxed) {
-        0 => COLD_REPLAY_ESTIMATE_NS,
-        n => n,
-    }
-}
+/// The spawn probe's reading, once a payment phase large enough to
+/// need it has run.
+static SPAWN_NS: OnceLock<u64> = OnceLock::new();
 
 /// Measured cost of spawning and joining one scoped worker thread,
-/// probed once per process. The probe itself is cheap (a handful of
-/// trivial spawns) and never observable in outcomes: it only shapes the
-/// pool size, which is proven outcome-neutral.
+/// probed once per process, at the first payment phase that could use a
+/// second worker. The probe itself is cheap (a handful of trivial
+/// spawns) and never observable in outcomes: it only shapes the pool
+/// size, which is proven outcome-neutral.
 fn spawn_overhead_ns() -> u64 {
-    static PROBE: OnceLock<u64> = OnceLock::new();
-    *PROBE.get_or_init(|| {
+    *SPAWN_NS.get_or_init(|| {
         const SPAWNS: u32 = 4;
         let start = std::time::Instant::now();
         let ok = crossbeam::scope(|scope| {
@@ -151,7 +86,7 @@ fn spawn_overhead_ns() -> u64 {
         .is_ok();
         let per_spawn = start.elapsed().as_nanos() as u64 / u64::from(SPAWNS);
         // A failed probe (or an impossibly fast clock) falls back to a
-        // conservative figure so auto stays shy of over-threading.
+        // conservative figure so the pool stays shy of over-threading.
         if ok {
             per_spawn.max(1_000)
         } else {
@@ -160,59 +95,97 @@ fn spawn_overhead_ns() -> u64 {
     })
 }
 
-/// The pool size for `n` units of estimated `unit_cost_ns` each:
-/// honors an explicit setting; sizes adaptively when the setting is `0`.
-fn pool_size(n: usize, unit_cost_ns: u64) -> usize {
-    let configured = PRICING_THREADS.load(Ordering::Relaxed);
-    let ceiling = match configured {
-        0 => available_pricing_threads(),
-        t => t,
-    }
-    .clamp(1, n.max(1));
-    if configured != 0 || ceiling <= 1 {
-        return ceiling;
-    }
-    let total_work = (n as u64).saturating_mul(unit_cost_ns);
-    let min_per_worker = spawn_overhead_ns().saturating_mul(SPAWN_AMORTIZATION);
-    let useful = (total_work / min_per_worker.max(1)) as usize;
-    useful.clamp(1, ceiling)
+/// The pool-sizing rule: workers for `units` independent work units
+/// totalling `work_ns`, on `cores` cores where one spawn costs
+/// `spawn_ns`. At most one worker per core and per unit, and one more
+/// only when each worker's share covers [`SPAWN_AMORTIZATION`] spawns.
+pub(crate) fn pool_threads(cores: usize, spawn_ns: u64, units: usize, work_ns: u64) -> usize {
+    let useful = work_ns / spawn_ns.saturating_mul(SPAWN_AMORTIZATION).max(1);
+    usize::try_from(useful)
+        .unwrap_or(usize::MAX)
+        .clamp(1, cores.min(units).max(1))
 }
 
-/// Runs `f(0), f(1), …, f(n - 1)` and returns the results in index
-/// order, fanning out over the configured pricing pool. With one thread
+/// Winners per replay batch on a pool of `threads`: about four batches
+/// per worker, so work stealing evens out uneven replays, and at most
+/// [`MAX_BATCH`].
+pub(crate) fn replay_batch(winners: usize, threads: usize) -> usize {
+    (winners / (threads.max(1) * 4)).clamp(1, MAX_BATCH)
+}
+
+/// How one payment phase runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Pool {
+    /// Worker threads; 1 runs every replay on the calling thread.
+    pub threads: usize,
+    /// Winners per replay batch.
+    pub batch: usize,
+}
+
+thread_local! {
+    /// This thread's test pin: `(threads, batch)`, see [`pinned`].
+    static PIN: Cell<Option<(usize, Option<usize>)>> = const { Cell::new(None) };
+}
+
+/// The pool for `replays` payment replays of a greedy run that took
+/// `greedy_ns`. The decision and its inputs are machine facts, recorded
+/// on the current span's profile side only.
+pub(crate) fn pool_for(replays: usize, greedy_ns: u64) -> Pool {
+    let work_ns = (replays as u64).saturating_mul(greedy_ns / 2);
+    let units = replays / MIN_REPLAYS_PER_WORKER;
+    let cores = available_pricing_threads();
+    let (threads, batch) = match PIN.get() {
+        Some((threads, batch)) => (threads.max(1), batch),
+        // The rule would clamp to one worker anyway; skipping it keeps
+        // the probe from spawning in a process of small stages.
+        None if cores.min(units) < 2 => (1, None),
+        None => (
+            pool_threads(cores, spawn_overhead_ns(), units, work_ns),
+            None,
+        ),
+    };
+    let batch = batch.map_or_else(|| replay_batch(replays, threads), |b| b.max(1));
+    if edge_telemetry::spans::is_enabled() {
+        edge_telemetry::spans::diag_set("pool_threads", threads as u64);
+        edge_telemetry::spans::diag_set("pool_units", units as u64);
+        edge_telemetry::spans::diag_set("pool_work_ns", work_ns);
+        edge_telemetry::spans::diag_set("pool_cores", cores as u64);
+        if let Some(&spawn_ns) = SPAWN_NS.get() {
+            edge_telemetry::spans::diag_set("pool_spawn_overhead_ns", spawn_ns);
+        }
+    }
+    Pool { threads, batch }
+}
+
+/// Runs `f` with every payment phase on this thread pinned to `threads`
+/// workers and, when `batch` is `Some`, that many winners per replay
+/// batch (`None` derives the batch from the pool, as unpinned phases
+/// do). The previous pin is restored on return and on unwind. A test
+/// seam: the determinism suites pin through it to show that pool size
+/// and batch geometry are unobservable.
+#[doc(hidden)]
+pub fn pinned<R>(threads: usize, batch: Option<usize>, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<(usize, Option<usize>)>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            PIN.set(self.0);
+        }
+    }
+    let _restore = Restore(PIN.replace(Some((threads, batch))));
+    f()
+}
+
+/// Runs `f(0), f(1), …, f(n - 1)` on up to `threads` workers and
+/// returns the results in index order. With one worker (or one unit)
 /// this is a plain loop on the caller's thread (no spawn, same closure),
 /// so the sequential and parallel paths execute identical arithmetic —
 /// the result vector is the same either way, only wall-clock differs.
-pub(crate) fn fan_out<R, F>(n: usize, f: F) -> Vec<R>
+pub(crate) fn fan_out<R, F>(threads: usize, n: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    fan_out_weighted(n, replay_cost_estimate_ns(), f)
-}
-
-/// [`fan_out`] with an explicit per-unit cost estimate, for callers
-/// whose units are coarser than one replay (e.g. replay *batches*).
-pub(crate) fn fan_out_weighted<R, F>(n: usize, unit_cost_ns: u64, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let threads = pool_size(n, unit_cost_ns);
-    // The adaptive decision and its measured-probe inputs are machine
-    // facts — recorded on the current span's profile side only.
-    if edge_telemetry::spans::is_enabled() {
-        edge_telemetry::spans::diag_set("pool_threads", threads as u64);
-        edge_telemetry::spans::diag_set("pool_units", n as u64);
-        edge_telemetry::spans::diag_set("pool_unit_cost_ns", unit_cost_ns);
-        if PRICING_THREADS.load(Ordering::Relaxed) == 0 {
-            edge_telemetry::spans::diag_set("pool_spawn_overhead_ns", spawn_overhead_ns());
-            edge_telemetry::spans::diag_set(
-                "pool_ceiling",
-                available_pricing_threads().max(1) as u64,
-            );
-        }
-    }
+    let threads = threads.min(n);
     if threads <= 1 {
         return (0..n).map(f).collect();
     }
@@ -257,83 +230,128 @@ where
 mod tests {
     use super::*;
 
-    /// Tests toggling the ambient pool size hold this lock so they do
-    /// not race each other (the setting is process-global).
-    pub(crate) static THREADS_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn fan_out_preserves_index_order() {
-        let _guard = THREADS_LOCK.lock().unwrap();
         for threads in [1, 2, 4] {
-            set_pricing_threads(threads);
-            let out = fan_out(37, |i| i * i);
+            let out = fan_out(threads, 37, |i| i * i);
             assert_eq!(out, (0..37).map(|i| i * i).collect::<Vec<_>>());
         }
-        set_pricing_threads(1);
-    }
-
-    #[test]
-    fn zero_resolves_to_detected_parallelism() {
-        let _guard = THREADS_LOCK.lock().unwrap();
-        let prev = pricing_threads_setting();
-        set_pricing_threads(0);
-        assert_eq!(pricing_threads_setting(), 0);
-        assert_eq!(current_pricing_threads(), available_pricing_threads());
-        assert!(current_pricing_threads() >= 1);
-        set_pricing_threads(prev);
     }
 
     #[test]
     fn fan_out_handles_empty_and_oversubscribed() {
-        let _guard = THREADS_LOCK.lock().unwrap();
-        set_pricing_threads(8);
-        assert_eq!(fan_out(0, |i| i), Vec::<usize>::new());
-        assert_eq!(fan_out(2, |i| i + 1), vec![1, 2]);
-        set_pricing_threads(1);
+        assert_eq!(fan_out(8, 0, |i| i), Vec::<usize>::new());
+        assert_eq!(fan_out(8, 2, |i| i + 1), vec![1, 2]);
     }
 
     #[test]
-    fn adaptive_pool_stays_sequential_for_tiny_work() {
-        let _guard = THREADS_LOCK.lock().unwrap();
-        let prev = pricing_threads_setting();
-        set_pricing_threads(0);
-        // A few units of sub-microsecond work can never amortize a
-        // spawn: auto must choose the sequential path.
-        assert_eq!(pool_size(4, 10), 1);
-        // Huge work is allowed to use the full ceiling.
-        assert_eq!(pool_size(1_000_000, 1_000_000), available_pricing_threads());
-        set_pricing_threads(prev);
+    fn pool_rule_table() {
+        const SPAWN: u64 = 20_000;
+        // (cores, units, work_ns) → workers.
+        let cases: [(usize, usize, u64, usize); 7] = [
+            // A tiny stage never amortizes a spawn.
+            (8, 5, 10_000, 1),
+            (8, 0, 0, 1),
+            // One core is one worker, however large the stage.
+            (1, 10_000, u64::MAX, 1),
+            // A large stage gets min(cores, work / (8 × spawn cost)).
+            (8, 10_000, 3 * 8 * SPAWN, 3),
+            (8, 10_000, 3 * 8 * SPAWN + 8 * SPAWN - 1, 3),
+            (2, 10_000, 100 * 8 * SPAWN, 2),
+            // Never more workers than units.
+            (8, 3, u64::MAX, 3),
+        ];
+        for (cores, units, work, want) in cases {
+            assert_eq!(
+                pool_threads(cores, SPAWN, units, work),
+                want,
+                "cores={cores} units={units} work={work}"
+            );
+        }
+        // A zero spawn cost cannot divide by zero.
+        assert_eq!(pool_threads(4, 0, 100, 1_000), 4);
     }
 
     #[test]
-    fn adaptive_pool_respects_explicit_settings() {
-        let _guard = THREADS_LOCK.lock().unwrap();
-        let prev = pricing_threads_setting();
-        set_pricing_threads(3);
-        // Explicit settings are never second-guessed.
-        assert_eq!(pool_size(100, 1), 3);
-        set_pricing_threads(prev);
+    fn a_stage_of_few_winners_stays_on_one_worker_whatever_its_clock_reads() {
+        // A scheduler stall can make a microsecond greedy run read as
+        // seconds; fewer than two workers' worth of replays still never
+        // spawns.
+        let few = 2 * MIN_REPLAYS_PER_WORKER - 1;
+        assert_eq!(pool_for(few, u64::MAX).threads, 1);
+        assert_eq!(pool_for(7, 10_000_000_000).threads, 1);
     }
 
     #[test]
-    fn replay_batch_auto_scales_with_winners() {
-        let prev = replay_batch_setting();
-        set_replay_batch(0);
-        assert_eq!(effective_replay_batch(0, 1), 1);
-        assert_eq!(effective_replay_batch(16, 4), 1);
-        assert_eq!(effective_replay_batch(1_000, 1), 64, "capped at 64");
-        set_replay_batch(1);
-        assert_eq!(effective_replay_batch(1_000, 1), 1, "explicit override");
-        set_replay_batch(prev);
+    fn replay_batch_follows_the_pool() {
+        assert_eq!(replay_batch(0, 1), 1);
+        assert_eq!(replay_batch(16, 4), 1);
+        assert_eq!(replay_batch(100, 1), 25);
+        assert_eq!(replay_batch(100, 2), 12);
+        assert_eq!(replay_batch(1_000, 1), MAX_BATCH, "capped");
     }
 
     #[test]
-    fn ema_tracks_observed_replay_cost() {
-        note_pricing_phase(0, 999); // no-op
-        note_pricing_phase(10, 10_000); // 1k per replay
-        let est = replay_cost_estimate_ns();
-        assert!(est > 0);
-        note_pricing_phase(10, 10_000);
-        assert!(replay_cost_estimate_ns() > 0);
+    fn pin_is_scoped_nested_and_restored_on_unwind() {
+        assert_eq!(
+            pool_for(4, 0),
+            Pool {
+                threads: 1,
+                batch: 1
+            }
+        );
+        pinned(4, Some(2), || {
+            assert_eq!(
+                pool_for(100, 0),
+                Pool {
+                    threads: 4,
+                    batch: 2
+                }
+            );
+            pinned(2, None, || {
+                assert_eq!(
+                    pool_for(100, 0),
+                    Pool {
+                        threads: 2,
+                        batch: 12
+                    }
+                );
+            });
+            assert_eq!(
+                pool_for(100, 0),
+                Pool {
+                    threads: 4,
+                    batch: 2
+                }
+            );
+            let unwound = std::panic::catch_unwind(|| pinned(3, Some(1), || panic!("boom")));
+            assert!(unwound.is_err());
+            assert_eq!(
+                pool_for(100, 0),
+                Pool {
+                    threads: 4,
+                    batch: 2
+                }
+            );
+        });
+        // Unpinned, a phase with no measured work runs sequentially.
+        assert_eq!(
+            pool_for(100, 0),
+            Pool {
+                threads: 1,
+                batch: 25
+            }
+        );
+        // The pin is this thread's alone.
+        pinned(4, Some(2), || {
+            let other = std::thread::spawn(|| pool_for(100, 0)).join().unwrap();
+            assert_eq!(
+                other,
+                Pool {
+                    threads: 1,
+                    batch: 25
+                }
+            );
+        });
     }
 }

@@ -863,8 +863,11 @@ pub fn run_msoa_with_faults_traced(
     let social_cost: Price = rounds.iter().map(|r| r.social_cost).sum();
     let platform_cost: Price = rounds.iter().map(|r| r.platform_cost).sum();
     let clawed_back: Price = rounds.iter().map(|r| r.clawed_back).sum();
-    let shortfall_units: u64 = rounds.iter().map(|r| r.shortfall).sum();
-    let demand_units: u64 = rounds.iter().map(|r| r.demand).sum();
+    // Saturating: a service stage's merged demand may reach `u64::MAX`.
+    let shortfall_units = rounds
+        .iter()
+        .fold(0u64, |a, r| a.saturating_add(r.shortfall));
+    let demand_units = rounds.iter().fold(0u64, |a, r| a.saturating_add(r.demand));
 
     trace.emit_with(Level::Info, "faults.end", || {
         vec![

@@ -543,7 +543,13 @@ impl<P: FnMut(u64, u64) -> MultiRoundInstance> AuctionService<P> {
                 if units == 0 {
                     return Err(ServiceError::ZeroDemand);
                 }
-                if self.pending_demand.saturating_add(units) > self.config.demand_cap {
+                // `checked_add`, not `saturating_add`: with a cap of
+                // `u64::MAX` a saturated sum would pass and `apply` wrap.
+                let within_cap = self
+                    .pending_demand
+                    .checked_add(units)
+                    .is_some_and(|total| total <= self.config.demand_cap);
+                if !within_cap {
                     return Err(ServiceError::DemandOverCap {
                         units,
                         cap: self.config.demand_cap,
@@ -794,8 +800,8 @@ fn merge_stage(
             });
         }
         rounds.push(RoundInput::new(
-            base_round.estimated_demand + overlay.demand,
-            base_round.true_demand + overlay.demand,
+            base_round.estimated_demand.saturating_add(overlay.demand),
+            base_round.true_demand.saturating_add(overlay.demand),
             bids,
         ));
     }
@@ -978,6 +984,31 @@ mod tests {
         svc.apply(&ServiceEvent::BidWithdrawn { seller: 0, bid: 0 }, None)
             .unwrap();
         svc.apply(&bid(2, 0), None).unwrap();
+    }
+
+    #[test]
+    fn demand_sums_cannot_wrap_under_an_unbounded_cap() {
+        let mut svc = AuctionService::new(
+            ServiceConfig {
+                demand_cap: u64::MAX,
+                ..config()
+            },
+            test_provider,
+        );
+        svc.apply(&ServiceEvent::DemandReported { units: u64::MAX }, None)
+            .unwrap();
+        let before = (svc.state_digest_hex(), svc.book_digest_hex());
+        let err = svc
+            .apply(&ServiceEvent::DemandReported { units: 1 }, None)
+            .unwrap_err();
+        assert_eq!(err.code(), "demand_over_cap");
+        assert_eq!(before, (svc.state_digest_hex(), svc.book_digest_hex()));
+        // The stage merge adds the pending demand to the base round's:
+        // it saturates instead of wrapping, and the stage still closes.
+        for _ in 0..config().stage_rounds {
+            svc.apply(&ServiceEvent::RoundClosed, None).unwrap();
+        }
+        assert_eq!(svc.stages_completed(), 1);
     }
 
     #[test]

@@ -369,7 +369,7 @@ pub(crate) fn run_slotted(
     // greedy argmin in O(log lanes); the differential suite pins its
     // selections, payments, and traces to the scan oracle bit-for-bit.
     // Wall-clock goes to the `selection` and `merge` spans, never into
-    // the trace.
+    // the trace; the greedy run's own time also sizes the pricing pool.
     let mut stats = SsamStats::default();
     let selection_span = edge_telemetry::spans::enter("selection");
     let arena = {
@@ -381,9 +381,11 @@ pub(crate) fn run_slotted(
         edge_telemetry::spans::diag("lanes", lanes as u64);
         edge_telemetry::spans::lane_gauges(lanes as u64, candidates.len() as u64);
     }
-    let (selection, snapshots) = {
+    let (selection, snapshots, greedy_ns) = {
         let _merge_span = edge_telemetry::spans::enter("merge");
-        greedy_select(&arena, &table, demand, &mut stats.argmin)
+        let start = std::time::Instant::now();
+        let (selection, snapshots) = greedy_select(&arena, &table, demand, &mut stats.argmin);
+        (selection, snapshots, start.elapsed().as_nanos() as u64)
     };
     // Selection-side work counters on the `selection` span. Scans and
     // snapshot counts are position-determined (knob-invariant); lane
@@ -430,13 +432,12 @@ pub(crate) fn run_slotted(
     // §11): the iterations before `i`'s selection position are answered
     // in O(1) each from a precomputed snapshot of the real run
     // ([`PrefixStep`]) instead of argmin work, and the per-winner
-    // replays — mutually independent — fan out over the configured
-    // pricing pool. Workers only compute; trace emission, stats
-    // absorption, and outcome assembly all happen below, on this
-    // thread, in winner order, so traces and outcomes are byte-identical
-    // at any thread count.
+    // replays — mutually independent — fan out over a pool sized from
+    // the greedy run's own time (`crate::pricing`). Workers only
+    // compute; trace emission, stats absorption, and outcome assembly
+    // all happen below, on this thread, in winner order, so traces and
+    // outcomes are byte-identical at any thread count.
     let pricing_span = edge_telemetry::spans::enter("pricing");
-    let pricing_start = std::time::Instant::now();
     let (prefix, position) = {
         let _prefix_span = edge_telemetry::spans::enter("prefix.build");
         build_prefix(&selection, bids, slots, demand, &table)
@@ -444,7 +445,7 @@ pub(crate) fn run_slotted(
     let replays: Vec<ReplayOutcome> = {
         let _replay_span = edge_telemetry::spans::enter("replays");
         batched_replays(
-            &arena, &table, bids, &selection, &prefix, &position, &snapshots,
+            &arena, &table, bids, &selection, &prefix, &position, &snapshots, greedy_ns,
         )
     };
 
@@ -506,12 +507,6 @@ pub(crate) fn run_slotted(
         });
     }
 
-    // Wall-clock goes to the `pricing` span, never into the trace:
-    // traces must stay byte-identical across machines and thread counts.
-    // This timer feeds only the adaptive pool's per-replay cost EMA
-    // (`--pricing-threads 0`).
-    let pricing_ns = pricing_start.elapsed().as_nanos() as u64;
-    crate::pricing::note_pricing_phase(stats.payment_replays, pricing_ns);
     // Pricing-side counters: replay totals and argmin scans (both
     // knob-invariant) on the deterministic side; lane head reads on the
     // profile side.
@@ -641,13 +636,14 @@ fn greedy_select(
 }
 
 /// All winners' payment replays on the arena, batched over the pricing
-/// pool. Each batch is one work unit sharing a cursor scratch buffer
-/// and a per-batch epoch array (replay-local "sold" marks, cleared by
-/// epoch id instead of refilling); each *winner* still forks from the
-/// snapshot determined by its own position, so results, traces, and
-/// stats are byte-identical at any batch size and thread count —
-/// `--replay-batch 1` is the per-winner oracle the differential suite
-/// compares against.
+/// pool (sized from `greedy_ns`, the real greedy run's time). Each batch
+/// is one work unit sharing a cursor scratch buffer and a per-batch
+/// epoch array (replay-local "sold" marks, cleared by epoch id instead
+/// of refilling); each *winner* still forks from the snapshot determined
+/// by its own position, so results, traces, and stats are byte-identical
+/// at any batch size and thread count — a batch of 1 is the per-winner
+/// oracle the differential suite compares against.
+#[allow(clippy::too_many_arguments)]
 fn batched_replays(
     arena: &BidArena,
     table: &SellerTable,
@@ -656,47 +652,46 @@ fn batched_replays(
     prefix: &[PrefixStep],
     position_by_slot: &[u32],
     snapshots: &[Cursors],
+    greedy_ns: u64,
 ) -> Vec<ReplayOutcome> {
     let winners = selection.len();
     if winners == 0 {
         return Vec::new();
     }
-    let batch =
-        crate::pricing::effective_replay_batch(winners, crate::pricing::current_pricing_threads());
+    let pool = crate::pricing::pool_for(winners, greedy_ns);
+    let batch = pool.batch;
     let n_batches = winners.div_ceil(batch);
-    let unit_cost = crate::pricing::replay_cost_estimate_ns().saturating_mul(batch as u64);
-    // Batch geometry depends on the thread knob — profile side only.
+    // Batch geometry depends on the pool — profile side only.
     if edge_telemetry::spans::is_enabled() {
         edge_telemetry::spans::diag_set("replay_batch", batch as u64);
         edge_telemetry::spans::diag_set("replay_batches", n_batches as u64);
     }
-    let batched: Vec<Vec<ReplayOutcome>> =
-        crate::pricing::fan_out_weighted(n_batches, unit_cost, |bi| {
-            let lo = bi * batch;
-            let hi = (lo + batch).min(winners);
-            let mut work = arena.initial_cursors();
-            let mut epoch = vec![0u32; table.len()];
-            (lo..hi)
-                .map(|p| {
-                    let w_slot = prefix[p].slot;
-                    work.copy_from(&snapshots[p / SNAPSHOT_STRIDE]);
-                    replay_payment(
-                        arena,
-                        table,
-                        bids,
-                        prefix,
-                        position_by_slot,
-                        p,
-                        w_slot,
-                        bids[selection[p].0].amount,
-                        table.max_of(w_slot),
-                        &mut work,
-                        &mut epoch,
-                        (p - lo) as u32 + 1,
-                    )
-                })
-                .collect()
-        });
+    let batched: Vec<Vec<ReplayOutcome>> = crate::pricing::fan_out(pool.threads, n_batches, |bi| {
+        let lo = bi * batch;
+        let hi = (lo + batch).min(winners);
+        let mut work = arena.initial_cursors();
+        let mut epoch = vec![0u32; table.len()];
+        (lo..hi)
+            .map(|p| {
+                let w_slot = prefix[p].slot;
+                work.copy_from(&snapshots[p / SNAPSHOT_STRIDE]);
+                replay_payment(
+                    arena,
+                    table,
+                    bids,
+                    prefix,
+                    position_by_slot,
+                    p,
+                    w_slot,
+                    bids[selection[p].0].amount,
+                    table.max_of(w_slot),
+                    &mut work,
+                    &mut epoch,
+                    (p - lo) as u32 + 1,
+                )
+            })
+            .collect()
+    });
     batched.into_iter().flatten().collect()
 }
 

@@ -158,10 +158,6 @@ proptest! {
     }
 }
 
-/// Tests toggling the process-global pricing pool size hold this lock
-/// so they do not race each other within the test binary.
-static PRICING_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -170,15 +166,13 @@ proptest! {
     /// order, every field, provenance included).
     #[test]
     fn pricing_thread_count_is_unobservable((inst, config) in (arb_instance(), arb_config())) {
-        use edge_auction::set_pricing_threads;
+        use edge_auction::pricing::pinned;
         use edge_telemetry::{Collector, Trace};
-        let _guard = PRICING_LOCK.lock().unwrap();
-        let run_at = |threads: usize| {
-            set_pricing_threads(threads);
+        let run_at = |threads: usize| pinned(threads, None, || {
             let collector = Collector::new();
             let outcome = edge_auction::ssam::run_ssam_traced(&inst, &config, Trace::new(&collector));
             (outcome, collector.deterministic_jsonl())
-        };
+        });
         let (seq_outcome, seq_trace) = run_at(1);
         for threads in [2usize, 4] {
             let (outcome, trace) = run_at(threads);
@@ -189,7 +183,6 @@ proptest! {
             }
             prop_assert_eq!(&seq_trace, &trace, "trace diverged at {} threads", threads);
         }
-        set_pricing_threads(1);
     }
 
     /// The shared-prefix replay must reproduce the *full* replay's
@@ -264,11 +257,10 @@ fn bid(seller: usize, id: usize, amount: u64, price: f64) -> Bid {
 /// per argmin query (from the `ssam.engine` profile entry and the
 /// `ssam.stats` event).
 fn traced_at(inst: &WspInstance, threads: usize) -> (edge_auction::ssam::SsamOutcome, String, f64) {
-    let _guard = PRICING_LOCK.lock().unwrap();
-    edge_auction::set_pricing_threads(threads);
     let collector = Collector::new();
-    let outcome = run_ssam_traced(inst, &SsamConfig::default(), Trace::new(&collector));
-    edge_auction::set_pricing_threads(1);
+    let outcome = edge_auction::pricing::pinned(threads, None, || {
+        run_ssam_traced(inst, &SsamConfig::default(), Trace::new(&collector))
+    });
     let scans = collector
         .events()
         .into_iter()

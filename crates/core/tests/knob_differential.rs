@@ -1,44 +1,41 @@
-//! Differential suite for the batched critical-value replays: every
-//! performance knob — the replay batch size and the pricing thread
-//! count — must be **unobservable** in outcomes, payments, provenance,
-//! and the deterministic trace.
+//! Differential suite for the batched critical-value replays: the
+//! pricing pool's size and the replay batch size must be
+//! **unobservable** in outcomes, payments, provenance, and the
+//! deterministic trace.
 //!
-//! The knobs are process-global (like the pricing-thread pool), so
-//! every test here holds one mutex and restores the defaults before
-//! releasing it; proptest shrinking then never observes a half-toggled
-//! process.
+//! Production auctions size their own pool; these tests pin it through
+//! the thread-local `pricing::pinned` seam, so they hold no lock and
+//! run in parallel with each other and with every other suite.
 
 use edge_auction::bid::Bid;
 use edge_auction::msoa::{run_msoa, MsoaConfig, MultiRoundInstance, RoundInput};
+use edge_auction::pricing::pinned;
 use edge_auction::recovery::{
     run_msoa_with_faults, FaultInjectionConfig, FaultPlan, RecoveryConfig,
 };
 use edge_auction::ssam::{run_ssam_traced, SsamConfig, SsamOutcome};
 use edge_auction::wsp::WspInstance;
-use edge_auction::{set_pricing_threads, set_replay_batch, AuctionError};
+use edge_auction::AuctionError;
 use edge_common::id::{BidId, MicroserviceId};
 use edge_telemetry::{Collector, Trace};
 use proptest::prelude::*;
 
-/// Serializes knob toggling across the whole test binary; the guard
-/// restores every default on drop so a failing assertion (or shrink
-/// iteration) cannot leak a non-default configuration into other tests.
-static KNOB_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-struct KnobGuard<'a>(#[allow(dead_code)] std::sync::MutexGuard<'a, ()>);
-
-impl KnobGuard<'_> {
-    fn acquire() -> Self {
-        KnobGuard(KNOB_LOCK.lock().unwrap())
-    }
-}
-
-impl Drop for KnobGuard<'_> {
-    fn drop(&mut self) {
-        set_replay_batch(0);
-        set_pricing_threads(1);
-    }
-}
+/// Every pinned pool: threads {1, 2, 4} × batch {1 (the per-winner
+/// oracle), 2, 64, derived from the pool}.
+const POOLS: [(usize, Option<usize>); 12] = [
+    (1, Some(1)),
+    (1, Some(2)),
+    (1, Some(64)),
+    (1, None),
+    (2, Some(1)),
+    (2, Some(2)),
+    (2, Some(64)),
+    (2, None),
+    (4, Some(1)),
+    (4, Some(2)),
+    (4, Some(64)),
+    (4, None),
+];
 
 /// Single-round instances with the messy inputs the mechanism accepts:
 /// colliding integer prices (tie-breaks), multiple alternative bids per
@@ -82,12 +79,12 @@ fn arb_config() -> impl Strategy<Value = SsamConfig> {
     })
 }
 
-/// Runs SSAM under the current knob settings, returning the outcome and
+/// Runs SSAM on the current thread's pool, returning the outcome and
 /// the *full* deterministic trace. Engine diagnostics (pop and discard
 /// counters, lane-head reads) live in the profile section; everything in
 /// the deterministic section — selections, payments, `CriticalSource`
 /// provenance, the certificate, and the `ssam.stats` counters — must be
-/// byte-identical across knobs.
+/// byte-identical on every pool.
 fn traced_run(
     inst: &WspInstance,
     config: &SsamConfig,
@@ -176,38 +173,35 @@ fn hot_faults() -> FaultInjectionConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Batched critical-value replays ≡ the per-winner oracle
-    /// (`replay_batch = 1`), across batch sizes and thread counts.
+    /// Batched critical-value replays ≡ the per-winner oracle (one
+    /// thread, batch 1), on every pinned pool and on the pool the
+    /// auction sizes itself.
     #[test]
     fn replay_batch_size_is_unobservable((inst, config) in (arb_instance(), arb_config())) {
-        let _guard = KnobGuard::acquire();
-        set_replay_batch(1); // the per-winner oracle
-        let oracle = traced_run(&inst, &config);
-        for (batch, threads) in [(0usize, 1usize), (2, 1), (64, 1), (0, 4)] {
-            set_replay_batch(batch);
-            set_pricing_threads(threads);
-            let batched = traced_run(&inst, &config);
+        let oracle = pinned(1, Some(1), || traced_run(&inst, &config));
+        for (threads, batch) in POOLS {
+            let batched = pinned(threads, batch, || traced_run(&inst, &config));
             assert_equivalent(
-                &format!("batch={batch} threads={threads} vs per-winner"),
+                &format!("threads={threads} batch={batch:?} vs per-winner"),
                 &oracle,
                 &batched,
             )?;
         }
+        assert_equivalent("self-sized pool vs per-winner", &oracle, &traced_run(&inst, &config))?;
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The knobs stay unobservable under non-empty fault plans: the
+    /// The pool stays unobservable under non-empty fault plans: the
     /// recovery pipeline (clawback, blacklisting, backfill re-auctions)
     /// replays auctions internally, and every one of those nested runs
     /// must batch and thread identically too.
     #[test]
-    fn knobs_are_unobservable_under_faults(
+    fn pools_are_unobservable_under_faults(
         (instance, seed) in (arb_multi_round(), 0u64..256)
     ) {
-        let _guard = KnobGuard::acquire();
         let plan = FaultPlan::seeded(
             seed,
             instance.num_rounds(),
@@ -215,30 +209,63 @@ proptest! {
             &hot_faults(),
         );
         let config = MsoaConfig::pinned(instance.derive_alpha());
-        set_replay_batch(1);
-        let base =
-            run_msoa_with_faults(&instance, &config, &plan, &RecoveryConfig::default()).unwrap();
-        for (batch, threads) in [(0usize, 1usize), (2, 1), (64, 1), (0, 4)] {
-            set_replay_batch(batch);
-            set_pricing_threads(threads);
-            let out = run_msoa_with_faults(&instance, &config, &plan, &RecoveryConfig::default())
-                .unwrap();
-            prop_assert_eq!(&out, &base, "diverged at batch={} threads={}", batch, threads);
+        let run = || run_msoa_with_faults(&instance, &config, &plan, &RecoveryConfig::default())
+            .unwrap();
+        let base = pinned(1, Some(1), run);
+        for (threads, batch) in POOLS {
+            let out = pinned(threads, batch, run);
+            prop_assert_eq!(&out, &base, "diverged at threads={} batch={:?}", threads, batch);
         }
     }
 
     /// Plain MSOA (the scale benchmark's exact entry point) is also
-    /// knob-invariant — this is the property the committed
+    /// pool-invariant — this is the property the committed
     /// `BENCH_scale.json` digests rest on.
     #[test]
-    fn msoa_outcome_is_knob_invariant(instance in arb_multi_round()) {
-        let _guard = KnobGuard::acquire();
+    fn msoa_outcome_is_pool_invariant(instance in arb_multi_round()) {
         let config = MsoaConfig::pinned(instance.derive_alpha());
-        let base = run_msoa(&instance, &config).unwrap();
-        for threads in [0usize, 4] {
-            set_pricing_threads(threads);
-            let out = run_msoa(&instance, &config).unwrap();
-            prop_assert_eq!(&out, &base, "diverged at threads={}", threads);
+        let run = || run_msoa(&instance, &config).unwrap();
+        let base = pinned(1, Some(1), run);
+        prop_assert_eq!(&run(), &base, "diverged on the self-sized pool");
+        for (threads, batch) in POOLS {
+            let out = pinned(threads, batch, run);
+            prop_assert_eq!(&out, &base, "diverged at threads={} batch={:?}", threads, batch);
         }
     }
+}
+
+/// The pool a tiny auction chose, read from its `pool_threads` diag.
+fn tiny_auction_pool() -> u64 {
+    let bids: Vec<Bid> = (0..6)
+        .map(|s| Bid::new(MicroserviceId::new(s), BidId::new(0), 2, 3.0 + s as f64).unwrap())
+        .collect();
+    let inst = WspInstance::new(5, bids).unwrap();
+    let (_, tree) = edge_telemetry::spans::collect(|| {
+        edge_auction::ssam::run_ssam(&inst, &SsamConfig::default()).unwrap()
+    });
+    tree.views()
+        .iter()
+        .flat_map(|v| v.diag.iter())
+        .find(|&&(key, _)| key == "pool_threads")
+        .map(|&(_, threads)| threads)
+        .expect("the payment phase records its pool")
+}
+
+/// Nothing carries from one auction's pool decision to the next: a tiny
+/// auction picks the same pool in a fresh thread as right after a
+/// 20k-seller auction on this one.
+#[test]
+fn the_pool_decision_carries_nothing_across_auctions() {
+    let bids: Vec<Bid> = (0..20_000)
+        .map(|s| {
+            let amount = 1 + (s as u64 * 7) % 8;
+            let price = 10.0 + ((s * 7919) % 1000) as f64 / 10.0;
+            Bid::new(MicroserviceId::new(s), BidId::new(0), amount, price).unwrap()
+        })
+        .collect();
+    let large = WspInstance::new(2_000, bids).unwrap();
+    let fresh = std::thread::spawn(tiny_auction_pool).join().unwrap();
+    edge_auction::ssam::run_ssam(&large, &SsamConfig::default()).unwrap();
+    assert_eq!(tiny_auction_pool(), fresh);
+    assert_eq!(fresh, 1, "a tiny auction never spawns");
 }

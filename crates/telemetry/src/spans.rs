@@ -6,13 +6,13 @@
 //!
 //! * Span *structure* — names, nesting, call counts, and per-span
 //!   counters recorded with [`ctr`] — depends only on the workload, so
-//!   two runs of the same instance produce the same tree at any
-//!   `--pricing-threads` setting. [`SpanTree::flush_into`]
+//!   two runs of the same instance produce the same tree whatever
+//!   pricing pool each auction chose. [`SpanTree::flush_into`]
 //!   writes this side into a collector's deterministic JSONL section
 //!   (one `span` event per node, DFS order).
 //! * Wall-clock durations and engine diagnostics recorded with [`diag`]
-//!   / [`diag_set`] — lane widths, head-read totals, adaptive-pool
-//!   decisions — are machine- and knob-dependent. They land only in the
+//!   / [`diag_set`] — lane widths, head-read totals, pricing-pool
+//!   decisions — are machine-dependent. They land only in the
 //!   `"section":"profile"` tail (one `span.profile` entry per node).
 //!
 //! The layer mirrors the ambient-install pattern of

@@ -4,7 +4,7 @@
 //! Run with `cargo bench -p edge-bench`. The paper reports SSAM staying
 //! under 100 ms up to 75 microservices with linear growth; these benches
 //! reproduce that measurement rigorously (warm-up, outlier rejection)
-//! where the `fig4b` binary gives the quick table.
+//! where `edge-market reproduce --figure fig4b` gives the quick table.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use edge_auction::bid::Bid;

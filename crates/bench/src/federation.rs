@@ -190,24 +190,25 @@ fn run_cell(seed: u64, drop: f64, partition: bool, retries: bool) -> FederationC
 /// Runs the full fed-faults sweep: [`FED_DROPS`] × partition on/off ×
 /// retries on/off, at the given base seed.
 pub fn run_federation_sweep(seed: u64) -> FederationReport {
+    // The sweep is one span: its shape as counters, its wall time as the
+    // span's own. Each drop × partition × retries combination is a
+    // point, run at one seed.
+    let _span = edge_telemetry::spans::enter("fed-faults");
     let mut cells = Vec::new();
-    let mut cell_us = Vec::new();
     {
-        // Keep the sims' interior spans out of the tree; their measured
-        // time is attributed once, through the absorb below.
+        // Keep the sims' interior spans out of the sweep's.
         let _quiet = edge_telemetry::spans::suppress_tree();
         for &drop in &FED_DROPS {
             for &partition in &[false, true] {
                 for &retries in &[true, false] {
-                    let start = std::time::Instant::now();
                     cells.push(run_cell(seed, drop, partition, retries));
-                    cell_us.push(start.elapsed().as_micros() as u64);
                 }
             }
         }
     }
-    crate::profile::set_stage("fed-faults");
-    crate::profile::record_sweep(FED_DROPS.len(), 4, &cell_us);
+    edge_telemetry::spans::ctr("points", cells.len() as u64);
+    edge_telemetry::spans::ctr("seeds", 1);
+    edge_telemetry::spans::ctr("cells", cells.len() as u64);
     FederationReport {
         schema: FEDERATION_SCHEMA.to_string(),
         seed,

@@ -6,32 +6,29 @@
 //!   including the fully integrated workload → simulator → demand
 //!   estimator → auction pipeline;
 //! * [`runner`] — one sweep per figure (3a, 3b, 4a, 4b, 5a, 6a, 6b),
-//!   parallel over scenario points × seeds, returning typed
-//!   serializable rows;
-//! * [`parallel`] — the bounded, order-preserving worker pool the
-//!   runners fan out on (thread count settable per process);
-//! * [`profile`] — ambient sweep self-profiling: an installed
-//!   `edge-telemetry` collector receives a deterministic `sweep` event
-//!   plus wall-clock cell-latency aggregates per figure sweep;
-//! * [`report`] — the single rendering path shared by `reproduce_all`
-//!   and the CLI's `reproduce` command;
+//!   fanned out over scenario points × seeds on the workspace's one
+//!   fork–join ([`edge_common::fork`]), returning typed serializable
+//!   rows;
+//! * [`report`] — the rendering path behind `edge-market reproduce`,
+//!   the one way to regenerate a figure;
 //! * [`scale`] — the non-figure scale benchmark (`BENCH_scale.json`):
-//!   MSOA at up to 100k sellers, pricing phase timed per thread count;
+//!   MSOA at up to a million sellers, phases timed by spans;
 //! * [`federation`] — the fed-faults benchmark (`BENCH_federation.json`):
 //!   cross-platform fill rate and platform cost as seeded network
 //!   faults (drops, partitions) degrade the federation;
 //! * [`table`] — fixed-width table rendering and JSON export.
 //!
-//! Each figure has a matching binary: `cargo run -p edge-bench --release
-//! --bin fig3a` etc. Criterion micro-benchmarks for the running-time
-//! figure live under `benches/`.
+//! Every sweep reports as one span on the calling thread
+//! ([`edge_telemetry::spans`]) carrying its `points`, `seeds` and `cells`
+//! counters, so a traced `reproduce` shows each sweep's shape in the
+//! deterministic section and its wall time in the profile tail.
+//! Criterion micro-benchmarks for the running-time figure live under
+//! `benches/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod federation;
-pub mod parallel;
-pub mod profile;
 pub mod report;
 pub mod runner;
 pub mod scale;

@@ -1,9 +1,10 @@
-//! Shared figure rendering for the reproduce entry points.
+//! Figure rendering behind `edge-market reproduce`, the one way to
+//! regenerate a figure.
 //!
-//! Both `reproduce_all` and the CLI's `reproduce` command go through
-//! [`render_figure`], so the summary tables are produced by exactly one
-//! code path — which is what the determinism regression test diffs
-//! across thread counts.
+//! [`render_figure`] runs one figure's sweep under a span named after
+//! the figure and renders its summary table and JSON series. The tables
+//! committed under `results/` are this function's output, and the
+//! determinism regression test diffs them across worker counts.
 
 use crate::runner;
 use crate::table::{f3, to_json, Table};
@@ -38,12 +39,14 @@ pub struct RenderedFigure {
 /// Runs one figure sweep and renders its summary table. Returns `None`
 /// for an unknown figure name. `seeds` is ignored by `fig4a`, which is
 /// a single annotated run by construction.
+///
+/// The figure runs under one span named after it: a sweep's shape lands
+/// on it as counters, and `fig4a`'s single auction nests its engine
+/// spans under it.
 pub fn render_figure(name: &str, seeds: u64) -> Option<RenderedFigure> {
-    // Label the profiling stage with the interned figure name so each
-    // sweep event in a `reproduce --trace` run says which figure it
-    // belongs to. Unknown names bail out here, same as the match below.
+    // Unknown names bail out here, same as the match below.
     let stage: &'static str = FIGURES.iter().find(|f| **f == name)?;
-    crate::profile::set_stage(stage);
+    let _span = edge_telemetry::spans::enter(stage);
     let fig = match name {
         "fig3a" => {
             let rows = runner::fig3a(seeds);

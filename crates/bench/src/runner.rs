@@ -2,22 +2,24 @@
 //!
 //! Each runner sweeps the figure's x-axis with everything else at the
 //! §V-A defaults and averages over independent seeds. The whole grid —
-//! every (scenario point, seed) pair — is flattened onto one bounded
-//! worker pool ([`crate::parallel`]), and results merge back in input
-//! order, so tables are byte-identical at any thread count. Runners
-//! return typed rows that the `fig*` binaries render as tables and
-//! JSON. Absolute numbers differ from the paper (different hardware,
-//! synthetic traces); the *shape* is what EXPERIMENTS.md tracks.
+//! every (scenario point, seed) pair — is flattened onto the
+//! workspace's one fork–join ([`edge_common::fork::fan_out`]), and
+//! results come back in input order, so tables are byte-identical at
+//! any worker count. Runners return typed rows that [`crate::report`]
+//! renders as tables and JSON. Absolute numbers differ from the paper
+//! (different hardware, synthetic traces); the *shape* is what
+//! EXPERIMENTS.md tracks.
 
-use crate::parallel;
 use crate::scenario::{multi_round_instance, single_round_instance};
 use edge_auction::msoa::MsoaConfig;
 use edge_auction::msoa::MultiRoundInstance;
 use edge_auction::offline::{offline_optimum_multi, offline_optimum_round, per_round_dp_bound};
 use edge_auction::ssam::{run_ssam, SsamConfig};
 use edge_auction::variants::{run_variant, MsoaVariant};
+use edge_common::fork;
 use edge_common::rng::derive_rng;
 use edge_lp::IlpOptions;
+use edge_telemetry::spans;
 use edge_workload::params::PaperParams;
 use serde::Serialize;
 use std::time::Instant;
@@ -39,53 +41,40 @@ fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Runs `f(point, seed)` for every (scenario point, seed) pair on the
-/// ambient worker pool and returns, per point in input order, the
-/// seed-ordered results. Flattening both axes into one work list keeps
-/// the pool busy even when a figure has few points or few seeds; the
-/// order-preserving merge keeps output independent of the thread count.
+/// Runs `f(point, seed)` for every (scenario point, seed) cell and
+/// returns, per point in input order, the seed-ordered results.
+/// Flattening both axes into one work list keeps the workers busy even
+/// when a figure has few points or few seeds; [`fork::fan_out`] returns
+/// the cells in input order, so output is independent of the worker
+/// count. A sweep uses one worker per core and at most one per cell.
 ///
-/// When an ambient profiling collector is installed
-/// ([`crate::profile::install`]), each cell is additionally timed and
-/// the sweep reports a deterministic shape event plus wall-clock
-/// aggregates. The timing wraps `f` without touching its result, so
-/// figure tables are unchanged by profiling.
+/// The sweep's shape lands as deterministic `points`, `seeds` and
+/// `cells` counters on the span open on the calling thread — the
+/// figure's own, opened by [`crate::report::render_figure`].
 fn par_sweep<P: Sync, T: Send>(
     points: &[P],
     seeds: u64,
     f: impl Fn(&P, u64) -> T + Sync,
 ) -> Vec<Vec<T>> {
-    let profiling = crate::profile::is_enabled();
-    let work: Vec<(usize, u64)> = (0..points.len())
-        .flat_map(|p| (0..seeds).map(move |s| (p, s)))
-        .collect();
+    let per_point = seeds as usize;
+    let cells = points.len() * per_point;
+    spans::ctr("points", points.len() as u64);
+    spans::ctr("seeds", seeds);
+    spans::ctr("cells", cells as u64);
+    let threads = fork::pin().map_or_else(fork::cores, |(threads, _)| threads);
     let flat = {
-        // Cells run inline at 1 worker and on pool threads otherwise;
-        // suppressing span-tree collection across the fan-out keeps the
-        // deterministic trace identical in both cases — measured cell
-        // time re-enters the tree through `record_sweep`'s absorb.
-        let _quiet = edge_telemetry::spans::suppress_tree();
-        parallel::par_map_auto(work, |&(p, s)| {
-            if profiling {
-                let start = Instant::now();
-                let result = f(&points[p], s);
-                (result, start.elapsed().as_micros() as u64)
-            } else {
-                (f(&points[p], s), 0)
-            }
+        // Cells run inline on one worker and on pool threads otherwise;
+        // keeping their spans out of the tree keeps the deterministic
+        // trace identical either way.
+        let _quiet = spans::suppress_tree();
+        fork::fan_out(threads, cells, |i| {
+            f(&points[i / per_point], (i % per_point) as u64)
         })
     };
-    if profiling {
-        let cell_us: Vec<u64> = flat.iter().map(|&(_, us)| us).collect();
-        crate::profile::record_sweep(points.len(), seeds, &cell_us);
-    }
     let mut results = flat.into_iter();
-    (0..points.len())
-        .map(|_| {
-            (0..seeds)
-                .map(|_| results.next().expect("complete sweep").0)
-                .collect()
-        })
+    points
+        .iter()
+        .map(|_| results.by_ref().take(per_point).collect())
         .collect()
 }
 

@@ -221,21 +221,22 @@ pub fn run_scale(max_n: usize) -> ScaleReport {
         sizes
     };
 
+    // The sweep is one span: its shape as counters, its wall time as
+    // the span's own.
+    let _span = spans::enter("scale");
+    spans::ctr("points", sizes.len() as u64);
+    spans::ctr("seeds", 1);
+    spans::ctr("cells", sizes.len() as u64);
     let cells: Vec<ScaleCell> = {
-        // Cells run full MSOA pipelines; keep their interior spans out
-        // of the tree so the absorbed sweep time below isn't counted
-        // twice (once per stage, once per cell).
-        let _quiet = edge_telemetry::spans::suppress_tree();
+        // Each measured run collects its own tree (`run_cell`); keep the
+        // warmup runs' spans out of the sweep's.
+        let _quiet = spans::suppress_tree();
         sizes.iter().map(|&n| run_cell(n)).collect()
     };
-    let cell_us: Vec<u64> = cells.iter().map(|c| c.median_total_ns / 1_000).collect();
-
-    crate::profile::set_stage("scale");
-    crate::profile::record_sweep(sizes.len(), 1, &cell_us);
 
     ScaleReport {
         schema: SCALE_SCHEMA.to_string(),
-        threads_available: edge_auction::available_pricing_threads(),
+        threads_available: edge_common::fork::cores(),
         cells,
     }
 }

@@ -1,14 +1,15 @@
-//! Thread-count determinism regression: the parallel scenario sweep
-//! must produce **byte-identical** summary tables (and JSON series) no
-//! matter how many workers the pool runs — the merge in
-//! `parallel::par_map` re-orders results by item index, and every
-//! runner derives its RNG from the (point, seed) pair, never from
-//! thread identity.
+//! Worker-count determinism regression: the figure sweeps must produce
+//! **byte-identical** summary tables (and JSON series) no matter how
+//! many workers the sweep runs — `fork::fan_out` returns cells in input
+//! order, and every runner derives its RNG from the (point, seed) pair,
+//! never from thread identity. Each sweep sizes its own pool; the test
+//! pins it through the thread-local `edge_common::fork::pinned` seam.
 //!
 //! `fig4b` is deliberately absent: it reports wall-clock timings, which
 //! no amount of scheduling discipline makes reproducible.
 
-use edge_bench::{parallel, report};
+use edge_bench::report;
+use edge_common::fork::pinned;
 
 /// Cheap-but-representative figures: single-round sweeps, a multi-round
 /// sweep, the ablation (which exercises the per-seed RNG the most), and
@@ -19,16 +20,19 @@ const FIGURES: &[&str] = &["fig3a", "fig3b", "fig6a", "ablation", "fault-matrix"
 #[test]
 fn tables_identical_at_1_and_4_threads() {
     for name in FIGURES {
-        parallel::set_threads(1);
-        let serial = report::render_figure(name, 2).expect("known figure");
-        parallel::set_threads(4);
-        let parallel4 = report::render_figure(name, 2).expect("known figure");
-        parallel::set_threads(0);
+        let serial = pinned(1, None, || report::render_figure(name, 2)).expect("known figure");
+        let parallel4 = pinned(4, None, || report::render_figure(name, 2)).expect("known figure");
+        let unpinned = report::render_figure(name, 2).expect("known figure");
 
-        assert_eq!(
-            serial.table, parallel4.table,
-            "{name}: table diverged across thread counts"
-        );
-        assert_eq!(serial.json, parallel4.json, "{name}: JSON series diverged");
+        for (label, other) in [("4 workers", &parallel4), ("unpinned", &unpinned)] {
+            assert_eq!(
+                serial.table, other.table,
+                "{name}: table diverged at {label}"
+            );
+            assert_eq!(
+                serial.json, other.json,
+                "{name}: JSON series diverged at {label}"
+            );
+        }
     }
 }

@@ -48,6 +48,15 @@ pub enum ArgsError {
         /// The raw value.
         value: String,
     },
+    /// A flag value parsed but lies outside what the command accepts.
+    OutOfRange {
+        /// Which flag.
+        flag: &'static str,
+        /// The raw value.
+        value: String,
+        /// What the command accepts, and why.
+        expected: &'static str,
+    },
     /// A flag is not recognized by the command.
     UnknownFlag(String),
 }
@@ -68,6 +77,11 @@ impl fmt::Display for ArgsError {
             ArgsError::InvalidValue { flag, value } => {
                 write!(f, "cannot parse '{value}' for flag --{flag}")
             }
+            ArgsError::OutOfRange {
+                flag,
+                value,
+                expected,
+            } => write!(f, "flag --{flag} {value} is out of range: {expected}"),
             ArgsError::UnknownFlag(flag) => write!(f, "unknown flag --{flag}"),
         }
     }

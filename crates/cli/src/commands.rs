@@ -200,8 +200,10 @@ COMMANDS:
     audit           audit mechanism properties on an instance
                     --input FILE [--reserve PRICE]
     reproduce       re-run the paper's evaluation figures
-                    [--figure NAME|all] [--seeds N] [--parallel THREADS]
+                    [--figure NAME|all] [--seeds N (at least 1)]
                     [--trace OUT.jsonl]
+                    --figure all also writes each figure's JSON series
+                    to results/<name>.json
                     --figure scale runs the (non-figure) scale benchmark
                     and writes a machine-readable report
                     [--scale-out FILE] [--scale-max-n N]
@@ -684,63 +686,69 @@ fn reproduce(args: &ParsedArgs) -> Result<String, CliError> {
     args.allow_only(&[
         "figure",
         "seeds",
-        "parallel",
         "trace",
         "scale-out",
         "scale-max-n",
         "fed-out",
     ])?;
-    let seeds = args.get_or("seeds", edge_bench::DEFAULT_SEEDS)?;
-    if let Some(raw) = args.get("parallel") {
-        let threads = raw.parse().map_err(|_| ArgsError::InvalidValue {
-            flag: "parallel".into(),
-            value: raw.to_owned(),
-        })?;
-        edge_bench::parallel::set_threads(threads);
-    }
     let figure = args.get("figure").unwrap_or("all");
-    // The scale benchmark is not a paper figure: it never runs as part
-    // of `all`, and it writes its machine-readable report to a file.
-    if figure == "scale" {
-        return reproduce_scale(args);
+    // Every sweep is one span on this thread; one tree gathers them.
+    let (out, tree) = edge_telemetry::spans::collect(|| match figure {
+        // The scale benchmark and the federation fault sweep are not
+        // paper figures: they never run as part of `all`, and each
+        // writes its machine-readable report to a file.
+        "scale" => reproduce_scale(args),
+        "fed-faults" => reproduce_fed_faults(args),
+        _ => reproduce_figures(args, figure),
+    });
+    let mut out = out?;
+    if let Some(path) = args.get("trace") {
+        let collector = Collector::new();
+        tree.flush_into(&collector);
+        fs::write(path, collector.to_jsonl())?;
+        let _ = writeln!(out, "trace: {} events → {path}", collector.len());
     }
-    if figure == "fed-faults" {
-        return reproduce_fed_faults(args);
+    Ok(out)
+}
+
+/// `reproduce --figure NAME|all`: print each figure's table. `all` also
+/// writes each figure's JSON series to `results/<name>.json`.
+fn reproduce_figures(args: &ParsedArgs, figure: &str) -> Result<String, CliError> {
+    let seeds = args.get_or("seeds", edge_bench::DEFAULT_SEEDS)?;
+    if seeds == 0 {
+        return Err(ArgsError::OutOfRange {
+            flag: "seeds",
+            value: seeds.to_string(),
+            expected: "every figure point is a mean over at least 1 seed",
+        }
+        .into());
     }
-    let names: Vec<&str> = if figure == "all" {
+    let all = figure == "all";
+    let names = if all {
         edge_bench::report::FIGURES.to_vec()
     } else {
         vec![figure]
     };
-    let collector = args.get("trace").map(|_| {
-        let c = std::sync::Arc::new(Collector::new());
-        edge_bench::profile::install(c.clone());
-        c
-    });
-    let render = || -> Result<String, CliError> {
-        let mut out = String::new();
-        for name in &names {
-            let Some(fig) = edge_bench::report::render_figure(name, seeds) else {
-                return Err(ArgsError::InvalidValue {
-                    flag: "figure".into(),
-                    value: (*name).to_owned(),
-                }
-                .into());
-            };
-            let _ = writeln!(out, "{}\n{}", fig.title, fig.table);
+    let mut out = String::new();
+    for name in names {
+        let fig = edge_bench::report::render_figure(name, seeds).ok_or_else(|| {
+            ArgsError::InvalidValue {
+                flag: "figure".into(),
+                value: name.to_owned(),
+            }
+        })?;
+        let _ = writeln!(out, "{}\n{}", fig.title, fig.table);
+        if all {
+            fs::create_dir_all("results")?;
+            fs::write(format!("results/{}.json", fig.name), &fig.json)?;
         }
-        Ok(out)
-    };
-    let rendered = render();
-    if collector.is_some() {
-        // Uninstall even on error so the ambient state never leaks
-        // into a later in-process command (the tests run this way).
-        edge_bench::profile::uninstall();
     }
-    let mut out = rendered?;
-    if let (Some(path), Some(collector)) = (args.get("trace"), collector) {
-        fs::write(path, collector.to_jsonl())?;
-        let _ = writeln!(out, "trace: {} sweep events → {path}", collector.len());
+    if all {
+        let _ = writeln!(
+            out,
+            "series: {} figures → results/*.json",
+            edge_bench::report::FIGURES.len()
+        );
     }
     Ok(out)
 }
@@ -752,15 +760,7 @@ fn reproduce(args: &ParsedArgs) -> Result<String, CliError> {
 fn reproduce_scale(args: &ParsedArgs) -> Result<String, CliError> {
     let out_path = args.get("scale-out").unwrap_or("BENCH_scale.json");
     let max_n = args.get_or("scale-max-n", 100_000usize)?;
-    let collector = args.get("trace").map(|_| {
-        let c = std::sync::Arc::new(Collector::new());
-        edge_bench::profile::install(c.clone());
-        c
-    });
     let report = edge_bench::scale::run_scale(max_n);
-    if collector.is_some() {
-        edge_bench::profile::uninstall();
-    }
     fs::write(out_path, report.to_json())?;
     let mut out = String::new();
     let _ = writeln!(out, "Scale benchmark ({})", report.schema);
@@ -771,10 +771,6 @@ fn reproduce_scale(args: &ParsedArgs) -> Result<String, CliError> {
         report.cells.len(),
         report.threads_available
     );
-    if let (Some(path), Some(collector)) = (args.get("trace"), collector) {
-        fs::write(path, collector.to_jsonl())?;
-        let _ = writeln!(out, "trace: {} sweep events → {path}", collector.len());
-    }
     Ok(out)
 }
 
@@ -784,24 +780,12 @@ fn reproduce_scale(args: &ParsedArgs) -> Result<String, CliError> {
 fn reproduce_fed_faults(args: &ParsedArgs) -> Result<String, CliError> {
     let out_path = args.get("fed-out").unwrap_or("BENCH_federation.json");
     let seed = args.get_or("seeds", 7u64)?;
-    let collector = args.get("trace").map(|_| {
-        let c = std::sync::Arc::new(Collector::new());
-        edge_bench::profile::install(c.clone());
-        c
-    });
     let report = edge_bench::federation::run_federation_sweep(seed);
-    if collector.is_some() {
-        edge_bench::profile::uninstall();
-    }
     fs::write(out_path, report.to_json())?;
     let mut out = String::new();
     let _ = writeln!(out, "Federation fault sweep ({})", report.schema);
     out.push_str(&report.render());
     let _ = writeln!(out, "report: {} cells → {out_path}", report.cells.len());
-    if let (Some(path), Some(collector)) = (args.get("trace"), collector) {
-        fs::write(path, collector.to_jsonl())?;
-        let _ = writeln!(out, "trace: {} sweep events → {path}", collector.len());
-    }
     Ok(out)
 }
 
@@ -1301,18 +1285,47 @@ mod tests {
 
     #[test]
     fn reproduce_single_figure_renders_table() {
-        let out = run(parsed(&[
+        let out = run(parsed(&["reproduce", "--figure", "fig4a", "--seeds", "1"])).unwrap();
+        assert!(out.contains("Figure 4(a)"), "{out}");
+        assert!(out.contains("payment"), "{out}");
+        // A single figure only prints; `all` writes the JSON series.
+        assert!(!out.contains("results/"), "{out}");
+        // The sweep pool has no flag.
+        let err = run(parsed(&[
             "reproduce",
             "--figure",
             "fig4a",
-            "--seeds",
-            "1",
             "--parallel",
             "2",
         ]))
+        .unwrap_err();
+        assert!(err.to_string().contains("--parallel"), "{err}");
+    }
+
+    #[test]
+    fn reproduce_rejects_zero_seeds_for_paper_figures() {
+        // A figure point is a mean over its seeds: zero seeds would print
+        // NaN in every cell.
+        for figure in ["fig3a", "fig4a", "all"] {
+            let err = run(parsed(&["reproduce", "--figure", figure, "--seeds", "0"])).unwrap_err();
+            assert!(matches!(err, CliError::Args(_)), "{figure}: {err}");
+            assert!(err.to_string().contains("--seeds"), "{figure}: {err}");
+        }
+        // The federation fault sweep reads --seeds as its seed: 0 is a
+        // seed like any other.
+        let out_path = temp_path("fed-seed0.json");
+        let out = run(parsed(&[
+            "reproduce",
+            "--figure",
+            "fed-faults",
+            "--seeds",
+            "0",
+            "--fed-out",
+            out_path.to_str().unwrap(),
+        ]))
         .unwrap();
-        assert!(out.contains("Figure 4(a)"), "{out}");
-        assert!(out.contains("payment"), "{out}");
+        assert!(out.contains("Federation fault sweep"), "{out}");
+        let _ = std::fs::remove_file(out_path);
     }
 
     #[test]

@@ -21,9 +21,9 @@ use edge_auction::federation::{
     render_fed_log, FedEvent, FederationConfig, FederationOutcome, FederationSim,
 };
 use edge_auction::msoa::{MultiRoundInstance, RoundInput};
-use edge_auction::pricing::pinned;
 use edge_auction::service::ServiceConfig;
 use edge_common::fnv1a64;
+use edge_common::fork::pinned;
 use edge_common::id::{BidId, MicroserviceId};
 use edge_market_cli::args::ParsedArgs;
 use edge_market_cli::commands::run;

@@ -10,7 +10,7 @@
 //!    a loud error, a matching one passes.
 
 use edge_auction::federation::{FederationConfig, FederationSim};
-use edge_auction::pricing::pinned;
+use edge_common::fork::pinned;
 use edge_market_cli::args::ParsedArgs;
 use edge_market_cli::commands::run;
 use edge_market_cli::serve::{drive, stage_provider, ServeConfig, ServeState};

@@ -11,7 +11,7 @@
 //! accepted events and replay applies exactly the accepted sequence.
 //! Those two runs are subprocesses of the built binary.
 
-use edge_auction::pricing::pinned;
+use edge_common::fork::pinned;
 use edge_market_cli::args::ParsedArgs;
 use edge_market_cli::commands::run;
 use std::path::PathBuf;

@@ -13,7 +13,7 @@
 //! round trip strictly inside that inter-stage window. Every stage is
 //! therefore provably scraped mid-run, with zero sleeps in the test.
 
-use edge_auction::pricing::pinned;
+use edge_common::fork::pinned;
 use edge_market_cli::serve::{drive, start_http, ServeConfig, ServeState};
 use edge_telemetry::Collector;
 use std::io::{Read as _, Write as _};

@@ -9,8 +9,8 @@
 //! fresh [`AuctionService`] over the same seeded provider is the same
 //! pure computation.
 
-use edge_auction::pricing::pinned;
 use edge_auction::service::{parse_log, AuctionService, LogWriter, ServiceConfig, ServiceEvent};
+use edge_common::fork::pinned;
 use edge_market_cli::serve::stage_provider;
 use edge_telemetry::Collector;
 use proptest::prelude::*;

@@ -16,6 +16,9 @@
 //!   every experiment in the repository is reproducible bit-for-bit.
 //! * [`error`] — the small shared error type used by validated
 //!   constructors.
+//! * [`fork`] — the one fork–join ([`fork::fan_out`]) the payment
+//!   replays and the figure sweeps run on, the once-per-process core
+//!   count, and the thread-local test pin for both pools.
 //!
 //! # Examples
 //!
@@ -37,6 +40,7 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod error;
+pub mod fork;
 pub mod id;
 pub mod indicator;
 pub mod rng;

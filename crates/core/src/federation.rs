@@ -1408,8 +1408,9 @@ pub struct FederationSim<P> {
     /// bumped on every send, max-merged on every delivery.
     hops: BTreeMap<(usize, DealId), u64>,
     /// Span metadata per net send seq, so substrate events (which carry
-    /// only the seq) can be traced with deal provenance. Gossip sends
-    /// are not tracked — they stay off the trace.
+    /// only the seq) can be traced with deal provenance. Filled only
+    /// while a collector is attached; gossip sends are not tracked —
+    /// they stay off the trace.
     sent_meta: BTreeMap<u64, SendMeta>,
     live: FedLive,
 }
@@ -1598,7 +1599,9 @@ impl<P: FnMut(u64, u64) -> MultiRoundInstance> FederationSim<P> {
                     _ => 0,
                 },
             };
-            let meta = msg_deal(&msg).map(|deal| SendMeta {
+            // Only the trace reads send metadata: an untraced run keeps
+            // none.
+            let meta = collector.and_then(|_| msg_deal(&msg)).map(|deal| SendMeta {
                 deal,
                 hop,
                 kind: msg_kind(&msg),
@@ -2094,6 +2097,23 @@ mod tests {
         assert!(records
             .iter()
             .any(|r| matches!(r.event, FedEvent::DealApplied { .. })));
+    }
+
+    #[test]
+    fn send_metadata_is_kept_only_for_the_trace() {
+        let run = |collector: Option<&Collector>| {
+            let config = small_config(9, 3);
+            let mut sim =
+                FederationSim::new(config, NetFaultPlan::ideal(1), |_, c| provider(c)).unwrap();
+            let outcome = sim.run(collector).unwrap();
+            (outcome.digest_hex(), sim.sent_meta.len())
+        };
+        let (untraced, kept) = run(None);
+        assert_eq!(kept, 0, "an untraced run has no reader for send metadata");
+        let collector = Collector::new();
+        let (traced, kept) = run(Some(&collector));
+        assert!(kept > 0, "a traced run records every deal-bearing send");
+        assert_eq!(untraced, traced, "tracing never perturbs the outcome");
     }
 
     #[test]

@@ -109,7 +109,6 @@ pub use multi_buyer::{
     run_ssam_multi, CoverBid, MultiBuyerOutcome, MultiBuyerWinner, MultiBuyerWsp,
 };
 pub use offline::{offline_optimum_multi, offline_optimum_round, per_round_dp_bound, OfflineBound};
-pub use pricing::available_pricing_threads;
 pub use properties::{
     audit_truthfulness, break_even_unit_charge, check_critical_payments,
     check_individual_rationality, check_monotonicity, economic_loss, TruthfulnessViolation,

@@ -411,35 +411,36 @@ pub fn run_ssam_multi(inst: &MultiBuyerWsp, config: &SsamConfig) -> MultiBuyerOu
     // same rule as SSAM's and merge back in winner order (deterministic
     // at any thread count).
     let pool = pricing::pool_for(selection.len(), greedy_ns);
-    let thresholds: Vec<Option<f64>> = pricing::fan_out(pool.threads, selection.len(), |p| {
-        let (g, j, _, _) = selection[p];
-        let bid = &inst.groups[g][j];
-        let mut engine = MultiGreedy::new(inst, config.reserve_unit_price, Some(bid.seller));
-        let mut acc = 0.0f64;
-        loop {
-            // Winner's utility at this replay state.
-            let my_u = marginal_utility(bid, &engine.covered, &inst.demands);
-            match engine.pop_best() {
-                Some((cg, cj, _, r_k)) => {
-                    if my_u > 0 {
-                        acc = acc.max(r_k * my_u as f64);
+    let thresholds: Vec<Option<f64>> =
+        edge_common::fork::fan_out(pool.threads, selection.len(), |p| {
+            let (g, j, _, _) = selection[p];
+            let bid = &inst.groups[g][j];
+            let mut engine = MultiGreedy::new(inst, config.reserve_unit_price, Some(bid.seller));
+            let mut acc = 0.0f64;
+            loop {
+                // Winner's utility at this replay state.
+                let my_u = marginal_utility(bid, &engine.covered, &inst.demands);
+                match engine.pop_best() {
+                    Some((cg, cj, _, r_k)) => {
+                        if my_u > 0 {
+                            acc = acc.max(r_k * my_u as f64);
+                        }
+                        engine.sell(cg, cj);
                     }
-                    engine.sell(cg, cj);
+                    None => {
+                        // Replay exhausted. If the winner still has
+                        // positive utility here, it is pivotal for the
+                        // residual: no finite threshold.
+                        break if my_u > 0 { None } else { Some(acc) };
+                    }
                 }
-                None => {
-                    // Replay exhausted. If the winner still has
-                    // positive utility here, it is pivotal for the
-                    // residual: no finite threshold.
-                    break if my_u > 0 { None } else { Some(acc) };
+                // Replay fully covered everything the winner could help
+                // with? Then no more opportunities.
+                if marginal_utility(bid, &engine.covered, &inst.demands) == 0 {
+                    break Some(acc);
                 }
             }
-            // Replay fully covered everything the winner could help
-            // with? Then no more opportunities.
-            if marginal_utility(bid, &engine.covered, &inst.demands) == 0 {
-                break Some(acc);
-            }
-        }
-    });
+        });
 
     let mut winners = Vec::with_capacity(selection.len());
     for (&(g, j, u, _), threshold) in selection.iter().zip(thresholds) {

@@ -2,9 +2,9 @@
 //!
 //! Every winner's payment replay is independent of the others (each
 //! replays the auction with a different seller excluded), so the payment
-//! phase fans the replays out over scoped worker threads and merges the
-//! results back **in winner order**. Determinism is preserved by
-//! construction: workers only *compute* — thresholds, provenance, and
+//! phase fans the replays out on [`edge_common::fork::fan_out`] and
+//! merges the results back **in winner order**. Determinism is preserved
+//! by construction: workers only *compute* — thresholds, provenance, and
 //! counter deltas — while all trace emission, stats absorption, and
 //! outcome assembly happen on the calling thread in the same order as
 //! the sequential path. A pool of one takes the exact sequential code
@@ -16,8 +16,7 @@
 //! pure rule ([`pool_threads`]) takes three inputs:
 //!
 //! * the host's core count, read once per process
-//!   ([`available_pricing_threads`]; CPU affinity and cgroup quotas
-//!   already bound it);
+//!   ([`edge_common::fork::cores`]);
 //! * the cost of spawning one scoped worker, probed once per process
 //!   ([`spawn_overhead_ns`]);
 //! * the phase's own work estimate: each replay is priced at half the
@@ -38,14 +37,13 @@
 //! runs. The replay batch follows from the pool that was chosen
 //! ([`replay_batch`]). Pool size and batch geometry are
 //! outcome-neutral (the differential suites prove byte-identical traces
-//! at every pinned combination), so a measured, machine-dependent
-//! choice is safe where anything observable would not be. That is also
-//! why neither is part of [`crate::ssam::SsamConfig`], whose serialized
-//! form is folded into event-log header digests.
+//! at every combination pinned through `edge_common::fork::pinned`),
+//! so a measured, machine-dependent choice is safe where anything
+//! observable would not be. That is also why neither is part of
+//! [`crate::ssam::SsamConfig`], whose serialized form is folded into
+//! event-log header digests.
 
-use std::cell::Cell;
-use std::num::NonZeroUsize;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use edge_common::fork;
 use std::sync::OnceLock;
 
 /// A worker is only added when its estimated share of the work is at
@@ -58,12 +56,6 @@ const MIN_REPLAYS_PER_WORKER: usize = 16;
 
 /// Most winners one replay batch holds.
 const MAX_BATCH: usize = 64;
-
-/// Threads the host offers (always at least 1), read once per process.
-pub fn available_pricing_threads() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
-}
 
 /// The spawn probe's reading, once a payment phase large enough to
 /// need it has run.
@@ -78,20 +70,15 @@ fn spawn_overhead_ns() -> u64 {
     *SPAWN_NS.get_or_init(|| {
         const SPAWNS: u32 = 4;
         let start = std::time::Instant::now();
-        let ok = crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..SPAWNS {
-                scope.spawn(|_| std::hint::black_box(0u64));
+                scope.spawn(|| std::hint::black_box(0u64));
             }
-        })
-        .is_ok();
+        });
         let per_spawn = start.elapsed().as_nanos() as u64 / u64::from(SPAWNS);
-        // A failed probe (or an impossibly fast clock) falls back to a
-        // conservative figure so the pool stays shy of over-threading.
-        if ok {
-            per_spawn.max(1_000)
-        } else {
-            1_000_000
-        }
+        // An impossibly fast clock reads as a conservative floor, so the
+        // pool stays shy of over-threading.
+        per_spawn.max(1_000)
     })
 }
 
@@ -122,19 +109,14 @@ pub(crate) struct Pool {
     pub batch: usize,
 }
 
-thread_local! {
-    /// This thread's test pin: `(threads, batch)`, see [`pinned`].
-    static PIN: Cell<Option<(usize, Option<usize>)>> = const { Cell::new(None) };
-}
-
 /// The pool for `replays` payment replays of a greedy run that took
 /// `greedy_ns`. The decision and its inputs are machine facts, recorded
 /// on the current span's profile side only.
 pub(crate) fn pool_for(replays: usize, greedy_ns: u64) -> Pool {
     let work_ns = (replays as u64).saturating_mul(greedy_ns / 2);
     let units = replays / MIN_REPLAYS_PER_WORKER;
-    let cores = available_pricing_threads();
-    let (threads, batch) = match PIN.get() {
+    let cores = fork::cores();
+    let (threads, batch) = match fork::pin() {
         Some((threads, batch)) => (threads.max(1), batch),
         // The rule would clamp to one worker anyway; skipping it keeps
         // the probe from spawning in a process of small stages.
@@ -157,92 +139,10 @@ pub(crate) fn pool_for(replays: usize, greedy_ns: u64) -> Pool {
     Pool { threads, batch }
 }
 
-/// Runs `f` with every payment phase on this thread pinned to `threads`
-/// workers and, when `batch` is `Some`, that many winners per replay
-/// batch (`None` derives the batch from the pool, as unpinned phases
-/// do). The previous pin is restored on return and on unwind. A test
-/// seam: the determinism suites pin through it to show that pool size
-/// and batch geometry are unobservable.
-#[doc(hidden)]
-pub fn pinned<R>(threads: usize, batch: Option<usize>, f: impl FnOnce() -> R) -> R {
-    struct Restore(Option<(usize, Option<usize>)>);
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            PIN.set(self.0);
-        }
-    }
-    let _restore = Restore(PIN.replace(Some((threads, batch))));
-    f()
-}
-
-/// Runs `f(0), f(1), …, f(n - 1)` on up to `threads` workers and
-/// returns the results in index order. With one worker (or one unit)
-/// this is a plain loop on the caller's thread (no spawn, same closure),
-/// so the sequential and parallel paths execute identical arithmetic —
-/// the result vector is the same either way, only wall-clock differs.
-pub(crate) fn fan_out<R, F>(threads: usize, n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let threads = threads.min(n);
-    if threads <= 1 {
-        return (0..n).map(f).collect();
-    }
-    // Work-stealing over an atomic cursor: replay costs vary with the
-    // winner's selection position, so static chunking would straggle.
-    // Results are index-tagged and scattered back into input order.
-    let cursor = AtomicUsize::new(0);
-    let mut results: Vec<Option<R>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
-    let collected: Vec<Vec<(usize, R)>> = crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|_| {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        out.push((i, f(i)));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("pricing worker panicked"))
-            .collect()
-    })
-    .expect("pricing scope panicked");
-    for (i, r) in collected.into_iter().flatten() {
-        results[i] = Some(r);
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every index was claimed by exactly one worker"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fan_out_preserves_index_order() {
-        for threads in [1, 2, 4] {
-            let out = fan_out(threads, 37, |i| i * i);
-            assert_eq!(out, (0..37).map(|i| i * i).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn fan_out_handles_empty_and_oversubscribed() {
-        assert_eq!(fan_out(8, 0, |i| i), Vec::<usize>::new());
-        assert_eq!(fan_out(8, 2, |i| i + 1), vec![1, 2]);
-    }
+    use edge_common::fork::pinned;
 
     #[test]
     fn pool_rule_table() {
@@ -292,66 +192,16 @@ mod tests {
     }
 
     #[test]
-    fn pin_is_scoped_nested_and_restored_on_unwind() {
-        assert_eq!(
-            pool_for(4, 0),
-            Pool {
-                threads: 1,
-                batch: 1
-            }
-        );
-        pinned(4, Some(2), || {
-            assert_eq!(
-                pool_for(100, 0),
-                Pool {
-                    threads: 4,
-                    batch: 2
-                }
-            );
-            pinned(2, None, || {
-                assert_eq!(
-                    pool_for(100, 0),
-                    Pool {
-                        threads: 2,
-                        batch: 12
-                    }
-                );
-            });
-            assert_eq!(
-                pool_for(100, 0),
-                Pool {
-                    threads: 4,
-                    batch: 2
-                }
-            );
-            let unwound = std::panic::catch_unwind(|| pinned(3, Some(1), || panic!("boom")));
-            assert!(unwound.is_err());
-            assert_eq!(
-                pool_for(100, 0),
-                Pool {
-                    threads: 4,
-                    batch: 2
-                }
-            );
-        });
+    fn pool_for_follows_the_pin() {
+        // Scoping, nesting, unwinding and thread-locality of the pin are
+        // `edge_common::fork`'s own tests; here a pinned pool wins over
+        // the rule, and a pin without a batch derives it from the pool.
+        let pool = |threads, batch| Pool { threads, batch };
+        assert_eq!(pool_for(4, 0), pool(1, 1));
+        assert_eq!(pinned(4, Some(2), || pool_for(100, 0)), pool(4, 2));
+        assert_eq!(pinned(2, None, || pool_for(100, 0)), pool(2, 12));
+        assert_eq!(pinned(0, Some(0), || pool_for(100, 0)), pool(1, 1));
         // Unpinned, a phase with no measured work runs sequentially.
-        assert_eq!(
-            pool_for(100, 0),
-            Pool {
-                threads: 1,
-                batch: 25
-            }
-        );
-        // The pin is this thread's alone.
-        pinned(4, Some(2), || {
-            let other = std::thread::spawn(|| pool_for(100, 0)).join().unwrap();
-            assert_eq!(
-                other,
-                Pool {
-                    threads: 1,
-                    batch: 25
-                }
-            );
-        });
+        assert_eq!(pool_for(100, 0), pool(1, 25));
     }
 }

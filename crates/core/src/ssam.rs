@@ -666,32 +666,33 @@ fn batched_replays(
         edge_telemetry::spans::diag_set("replay_batch", batch as u64);
         edge_telemetry::spans::diag_set("replay_batches", n_batches as u64);
     }
-    let batched: Vec<Vec<ReplayOutcome>> = crate::pricing::fan_out(pool.threads, n_batches, |bi| {
-        let lo = bi * batch;
-        let hi = (lo + batch).min(winners);
-        let mut work = arena.initial_cursors();
-        let mut epoch = vec![0u32; table.len()];
-        (lo..hi)
-            .map(|p| {
-                let w_slot = prefix[p].slot;
-                work.copy_from(&snapshots[p / SNAPSHOT_STRIDE]);
-                replay_payment(
-                    arena,
-                    table,
-                    bids,
-                    prefix,
-                    position_by_slot,
-                    p,
-                    w_slot,
-                    bids[selection[p].0].amount,
-                    table.max_of(w_slot),
-                    &mut work,
-                    &mut epoch,
-                    (p - lo) as u32 + 1,
-                )
-            })
-            .collect()
-    });
+    let batched: Vec<Vec<ReplayOutcome>> =
+        edge_common::fork::fan_out(pool.threads, n_batches, |bi| {
+            let lo = bi * batch;
+            let hi = (lo + batch).min(winners);
+            let mut work = arena.initial_cursors();
+            let mut epoch = vec![0u32; table.len()];
+            (lo..hi)
+                .map(|p| {
+                    let w_slot = prefix[p].slot;
+                    work.copy_from(&snapshots[p / SNAPSHOT_STRIDE]);
+                    replay_payment(
+                        arena,
+                        table,
+                        bids,
+                        prefix,
+                        position_by_slot,
+                        p,
+                        w_slot,
+                        bids[selection[p].0].amount,
+                        table.max_of(w_slot),
+                        &mut work,
+                        &mut epoch,
+                        (p - lo) as u32 + 1,
+                    )
+                })
+                .collect()
+        });
     batched.into_iter().flatten().collect()
 }
 

@@ -166,7 +166,7 @@ proptest! {
     /// order, every field, provenance included).
     #[test]
     fn pricing_thread_count_is_unobservable((inst, config) in (arb_instance(), arb_config())) {
-        use edge_auction::pricing::pinned;
+        use edge_common::fork::pinned;
         use edge_telemetry::{Collector, Trace};
         let run_at = |threads: usize| pinned(threads, None, || {
             let collector = Collector::new();
@@ -258,7 +258,7 @@ fn bid(seller: usize, id: usize, amount: u64, price: f64) -> Bid {
 /// `ssam.stats` event).
 fn traced_at(inst: &WspInstance, threads: usize) -> (edge_auction::ssam::SsamOutcome, String, f64) {
     let collector = Collector::new();
-    let outcome = edge_auction::pricing::pinned(threads, None, || {
+    let outcome = edge_common::fork::pinned(threads, None, || {
         run_ssam_traced(inst, &SsamConfig::default(), Trace::new(&collector))
     });
     let scans = collector

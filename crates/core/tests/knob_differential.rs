@@ -4,18 +4,18 @@
 //! deterministic trace.
 //!
 //! Production auctions size their own pool; these tests pin it through
-//! the thread-local `pricing::pinned` seam, so they hold no lock and
-//! run in parallel with each other and with every other suite.
+//! the thread-local `edge_common::fork::pinned` seam, so they hold no
+//! lock and run in parallel with each other and with every other suite.
 
 use edge_auction::bid::Bid;
 use edge_auction::msoa::{run_msoa, MsoaConfig, MultiRoundInstance, RoundInput};
-use edge_auction::pricing::pinned;
 use edge_auction::recovery::{
     run_msoa_with_faults, FaultInjectionConfig, FaultPlan, RecoveryConfig,
 };
 use edge_auction::ssam::{run_ssam_traced, SsamConfig, SsamOutcome};
 use edge_auction::wsp::WspInstance;
 use edge_auction::AuctionError;
+use edge_common::fork::pinned;
 use edge_common::id::{BidId, MicroserviceId};
 use edge_telemetry::{Collector, Trace};
 use proptest::prelude::*;

@@ -6,13 +6,12 @@
 //! share, execution rate `𝕃_i^t`, and neighbor density `𝒱(n̄)`). The
 //! engine emits one [`MsMetrics`] per microservice per round with all of
 //! those ingredients; [`MetricsHub`] stores the history behind a
-//! `parking_lot::RwLock` so experiment harnesses can read concurrently
-//! while the simulation advances.
+//! `RwLock` so experiment harnesses can read concurrently while the
+//! simulation advances.
 
 use edge_common::id::{MicroserviceId, Round};
-use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
 
 /// One microservice's observables for one round.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -64,26 +63,34 @@ impl MetricsHub {
         Arc::new(MetricsHub::default())
     }
 
+    /// Shared access to the history. A writer that panicked mid-push
+    /// leaves whole rounds only, so a poisoned lock is read as is.
+    fn read(&self) -> RwLockReadGuard<'_, Vec<Vec<MsMetrics>>> {
+        self.rounds.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Appends one round of metrics.
     pub fn record_round(&self, batch: Vec<MsMetrics>) {
-        self.rounds.write().push(batch);
+        self.rounds
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(batch);
     }
 
     /// Number of recorded rounds.
     pub fn num_rounds(&self) -> usize {
-        self.rounds.read().len()
+        self.read().len()
     }
 
     /// A copy of the latest round's metrics (empty before the first
     /// round).
     pub fn latest(&self) -> Vec<MsMetrics> {
-        self.rounds.read().last().cloned().unwrap_or_default()
+        self.read().last().cloned().unwrap_or_default()
     }
 
     /// A copy of one round's metrics.
     pub fn at_round(&self, round: Round) -> Vec<MsMetrics> {
-        self.rounds
-            .read()
+        self.read()
             .get(round.index() as usize)
             .cloned()
             .unwrap_or_default()
@@ -91,8 +98,7 @@ impl MetricsHub {
 
     /// The metric series of one microservice across all recorded rounds.
     pub fn series_for(&self, ms: MicroserviceId) -> Vec<MsMetrics> {
-        self.rounds
-            .read()
+        self.read()
             .iter()
             .filter_map(|batch| batch.iter().find(|m| m.ms == ms).cloned())
             .collect()
@@ -132,6 +138,22 @@ mod tests {
         assert_eq!(hub.latest().len(), 1);
         assert_eq!(hub.at_round(Round::new(0)).len(), 2);
         assert!(hub.at_round(Round::new(5)).is_empty());
+    }
+
+    #[test]
+    fn a_poisoned_hub_still_records_and_reads() {
+        let hub = MetricsHub::new();
+        hub.record_round(vec![sample(0, 0)]);
+        let writer = Arc::clone(&hub);
+        let died = std::thread::spawn(move || {
+            let _guard = writer.rounds.write().unwrap();
+            panic!("a writer dies holding the lock");
+        })
+        .join();
+        assert!(died.is_err() && hub.rounds.is_poisoned());
+        hub.record_round(vec![sample(0, 1)]);
+        assert_eq!(hub.num_rounds(), 2);
+        assert_eq!(hub.latest(), vec![sample(0, 1)]);
     }
 
     #[test]

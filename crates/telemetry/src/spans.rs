@@ -15,17 +15,17 @@
 //!   decisions — are machine-dependent. They land only in the
 //!   `"section":"profile"` tail (one `span.profile` entry per node).
 //!
-//! The layer mirrors the ambient-install pattern of
-//! `edge_bench::profile`: entry points call [`install`] once (or wrap
-//! one measured run in [`collect`]), instrumented code calls [`enter`] /
-//! [`ctr`] / [`diag`] without threading a handle through every
-//! signature, and a disabled profiler costs one relaxed atomic load and
-//! one thread-local read per call site. Each thread owns its own tree,
-//! so spans are a *calling-thread* convention: worker threads inside the
-//! pricing pool never open spans or bump counters — their results are
-//! absorbed on the coordinating thread in deterministic order, which is
+//! Entry points call [`install`] once (or wrap a run in [`collect`]),
+//! instrumented code calls [`enter`] / [`ctr`] / [`diag`] without
+//! threading a handle through every signature, and a disabled profiler
+//! costs one relaxed atomic load and one thread-local read per call
+//! site. Each thread owns its own tree, so spans are a *calling-thread*
+//! convention: worker threads inside a fork–join (the pricing pool, a
+//! figure sweep) never open spans or bump counters — their results are
+//! merged on the coordinating thread in deterministic order, which is
 //! what keeps the tree identical at any thread count — and two threads
-//! collecting at once never see each other's spans.
+//! collecting at once never see each other's spans. A sweep is one span
+//! on its calling thread, carrying its shape as counters.
 //!
 //! Independently of tree collection, [`set_live`] feeds per-stage
 //! duration summaries and engine gauges into the process
@@ -240,33 +240,10 @@ pub fn diag_set(key: &'static str, value: u64) {
     with_tree(|tree| tree.add(key, value, Side::DiagSet));
 }
 
-/// Attributes externally measured work to a child of the currently
-/// open span (or the top level), as if it had been entered once per
-/// sample: the aggregated node gains `samples_ns.len()` calls and the
-/// summed nanoseconds. Live mode observes every sample into the
-/// stage's `edge_profile_stage_ns` summary. This is how fork–join
-/// harnesses that time cells on worker threads report through the
-/// calling-thread span layer.
-pub fn absorb(name: &'static str, samples_ns: &[u64]) {
-    if samples_ns.is_empty() {
-        return;
-    }
-    if tree_on() {
-        with_tree(|tree| tree.absorb(name, samples_ns.len() as u64, samples_ns.iter().sum()));
-    }
-    if LIVE_ON.load(Ordering::Relaxed) {
-        let summary = stage_summary(name);
-        for &ns in samples_ns {
-            summary.observe(ns);
-        }
-    }
-}
-
 /// Temporarily halts tree collection on this thread until the guard
-/// drops; live feeding is unaffected. A fork–join harness wraps its
-/// worker pool in this so a sweep's cells record the same (absent)
-/// structure whether they run inline on the caller or on workers —
-/// their measured time re-enters the tree via [`absorb`].
+/// drops; live feeding is unaffected. A sweep wraps its cells in this
+/// so they record the same (absent) structure whether they run inline
+/// on the caller or on workers; the sweep's own span times them all.
 #[must_use]
 pub fn suppress_tree() -> TreeSuppression {
     TreeSuppression {
@@ -438,13 +415,6 @@ impl SpanTree {
         if self.stack.last() == Some(&idx) {
             self.stack.pop();
         }
-    }
-
-    fn absorb(&mut self, name: &'static str, calls: u64, total_ns: u64) {
-        let parent = *self.stack.last().expect("span stack never empty");
-        let idx = self.child_of(parent, name);
-        self.nodes[idx].calls += calls;
-        self.nodes[idx].total_ns += total_ns;
     }
 
     fn add(&mut self, key: &'static str, delta: u64, side: Side) {
@@ -866,23 +836,6 @@ mod tests {
         assert_eq!(views.len(), 1, "only the installing thread records");
         assert_eq!(views[0].path, "main");
         assert!(views[0].counters.is_empty());
-    }
-
-    #[test]
-    fn absorb_aggregates_external_samples() {
-        let _g = GUARD.lock().unwrap();
-        reset();
-        install();
-        {
-            let _s = enter("sweep");
-            absorb("fig", &[1_000, 2_000, 3_000]);
-            absorb("fig", &[4_000]);
-        }
-        let tree = uninstall().unwrap();
-        let views = tree.views();
-        assert_eq!(views[1].path, "sweep.fig");
-        assert_eq!(views[1].calls, 4);
-        assert_eq!(views[1].total_ns, 10_000);
     }
 
     #[test]
